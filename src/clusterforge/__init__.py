@@ -11,7 +11,6 @@ and a dense statevector oracle.
 from .fusion import CostLedger, FusionOutcome, RngStream, merge_disjoint, type1_fuse
 from .graphstate import (
     GraphState,
-    RewriteReport,
     chain,
     chain_to_box,
     isomorphic,
@@ -52,7 +51,6 @@ from .tableau import StabilizerTableau, canonical_equal, from_graph, to_graph
 
 __all__ = [
     "GraphState",
-    "RewriteReport",
     "chain",
     "ring",
     "star",

@@ -123,11 +123,11 @@ def measurement_agreement(g: GraphState, vertex: int, basis: str) -> tuple[bool,
     if basis == "Z":
         corrections: dict[int, str] = {}
         measured_frame = "H"
-        g_after, _ = measure_z(g, vertex)
+        g_after = measure_z(g, vertex)
     elif basis == "Y":
         corrections = y_byproduct_frame(g, vertex)
         measured_frame = "S"
-        g_after, _ = measure_y(g, vertex)
+        g_after = measure_y(g, vertex)
     else:
         raise ValueError(f"unsupported measurement basis: {basis!r}")
     expected = g_after.with_vertex(vertex)
@@ -156,7 +156,7 @@ def measurement_agreement(g: GraphState, vertex: int, basis: str) -> tuple[bool,
 
 def _box_identity_lines(g: GraphState, segment: tuple[int, int, int, int]) -> list[CheckLine]:
     """Oracle and tableau legs of the chain-to-box identity on one segment."""
-    boxed, _ = chain_to_box(g, segment)
+    boxed = chain_to_box(g, segment)
     index = {v: i for i, v in enumerate(g.sorted_vertices())}
     mid = (index[segment[1]], index[segment[2]])
     tag = f"segment {segment}"
@@ -195,7 +195,7 @@ def check_box_equivalence(**_) -> CheckReport:
     swap = {1: 1, 2: 3, 3: 2, 4: 4}
     relabeled = {tuple(sorted((swap[u], swap[v]))) for u, v in c4.edges}
     relabeled.add((1, 4))
-    boxed, _ = chain_to_box(c4, (1, 2, 3, 4))
+    boxed = chain_to_box(c4, (1, 2, 3, 4))
     lines.append(
         CheckLine(
             "relabel reading: chain edges under 2<->3 plus bond 1-4 give the box",
@@ -246,7 +246,7 @@ def check_cross(**_) -> CheckReport:
     )
     for v in (3, 5):
         ok, detail = measurement_agreement(precursor, v, "Z")
-        precursor, _ = measure_z(precursor, v)
+        precursor = measure_z(precursor, v)
         lines.append(CheckLine("corner deletion agrees across engines", ok, detail))
     lines.append(
         CheckLine(
@@ -264,7 +264,7 @@ def check_measurement_rules(**_) -> CheckReport:
         ("6-chain", chain(6)),
         ("6-ring", ring(6)),
         ("5-star", star(5)),
-        ("7-chain boxed", chain_to_box(chain(7), (2, 3, 4, 5))[0]),
+        ("7-chain boxed", chain_to_box(chain(7), (2, 3, 4, 5))),
     ]
     lines = []
     for name, g in zoo:
@@ -396,6 +396,8 @@ def check_triple_agreement(*, n: int = 8, cases: int = 100, seed: int = 7, **_) 
     """Randomized measurement agreement across the three engines."""
     if n < 2:
         raise ValueError("need at least two vertices")
+    if cases < 1:
+        raise ValueError("need at least one case")
     rng = RngStream(seed)
     failures = 0
     first_failure = ""

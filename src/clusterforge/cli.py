@@ -177,6 +177,9 @@ def cmd_verify(args) -> int:
     except KeyError as exc:
         print(f"verify: {exc.args[0]}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"verify {args.check}: {exc}", file=sys.stderr)
+        return 1
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in reports], sort_keys=True, separators=(",", ":")))
     else:
@@ -240,7 +243,8 @@ def cmd_mc(args) -> int:
     return 0
 
 
-def _load_result(path: str) -> RecipeResult:
+def _load_result(path: str) -> tuple[dict, RecipeResult]:
+    """A stored RecipeResult file, as its document and as the decoded result."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -251,14 +255,14 @@ def _load_result(path: str) -> RecipeResult:
     except json.JSONDecodeError as exc:
         raise ValueError(f"parse error: line {exc.lineno} column {exc.colno}: {exc.msg}")
     try:
-        return result_from_doc(doc)
+        return doc, result_from_doc(doc)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"invalid recipe document: missing or bad field {exc}")
 
 
 def cmd_export(args) -> int:
     try:
-        result = _load_result(args.input)
+        _, result = _load_result(args.input)
         if args.to == "dot":
             payload = to_dot(result.graph)
         else:
@@ -276,19 +280,7 @@ def cmd_export(args) -> int:
 
 def cmd_replay(args) -> int:
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        print(f"replay: cannot read {args.input}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(
-            f"replay: parse error: line {exc.lineno} column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return 1
-    try:
-        recorded = result_from_doc(doc)
+        doc, recorded = _load_result(args.input)
         replayed = replay(doc)
     except (KeyError, TypeError) as exc:
         print(f"replay: invalid recipe document: {exc}", file=sys.stderr)

@@ -5,18 +5,21 @@ Fusion is the only stochastic primitive: it succeeds with probability
 both neighborhoods, and on failure effectively Z-measures both targets.
 Bond costs follow the destroyed-edge convention: only edges removed by
 measurements and fusion failures count, while bonds created by local
-unitaries or by successful fusion rewiring are free.
+unitaries or by successful fusion rewiring are free.  :func:`step_cost`
+is the one place that convention is written down.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Mapping
 
 from .graphstate import GraphState
 
 __all__ = [
     "RngStream",
     "CostLedger",
+    "step_cost",
     "FusionOutcome",
     "type1_fuse",
     "merge_disjoint",
@@ -105,6 +108,25 @@ class CostLedger:
         )
 
 
+def step_cost(step: Mapping) -> CostLedger:
+    """Ledger delta of one trace step.
+
+    Measurements pay the measured vertex's degree and consume it; a
+    fusion consumes one qubit on success and both targets on failure,
+    paying the bonds recorded on the step; discarded isolated vertices
+    cost no bonds.  Every other op is a free rewrite.
+    """
+    op = step["op"]
+    if op in ("measure_z", "measure_y"):
+        return CostLedger(bonds_consumed=step["bonds"], qubits_consumed=1)
+    if op == "fuse":
+        success = step["outcome"] == "S"
+        return CostLedger(step["bonds"], 1 if success else 2, 1, int(success))
+    if op == "drop_isolated":
+        return CostLedger(qubits_consumed=len(step["vertices"]))
+    return CostLedger()
+
+
 @dataclass(frozen=True)
 class FusionOutcome:
     """Result tag for one fusion attempt.
@@ -181,19 +203,14 @@ def type1_fuse(
                 (min(merged, u), max(merged, u)) for u in new_nbrs
             ),
         )
-        return (
-            out,
-            FusionOutcome(True, merged=merged, removed=(a, b)),
-            CostLedger(qubits_consumed=1, fusion_attempts=1, fusion_successes=1),
-        )
-
-    bonds = g.degree(a) + g.degree(b)
-    out = g.without_vertex(a).without_vertex(b)
-    return (
-        out,
-        FusionOutcome(False, removed=(a, b)),
-        CostLedger(bonds_consumed=bonds, qubits_consumed=2, fusion_attempts=1),
-    )
+        outcome = FusionOutcome(True, merged=merged, removed=(a, b))
+        bonds = 0
+    else:
+        bonds = g.degree(a) + g.degree(b)
+        out = g.without_vertex(a).without_vertex(b)
+        outcome = FusionOutcome(False, removed=(a, b))
+    step = {"op": "fuse", "outcome": "S" if success else "F", "bonds": bonds}
+    return out, outcome, step_cost(step)
 
 
 def merge_disjoint(ga: GraphState, gb: GraphState) -> GraphState:

@@ -16,6 +16,7 @@ tuples with u < v.
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -23,7 +24,6 @@ from typing import Iterable, Mapping
 
 __all__ = [
     "GraphState",
-    "RewriteReport",
     "chain",
     "ring",
     "star",
@@ -35,6 +35,10 @@ __all__ = [
     "lc_equivalent",
     "isomorphic",
     "path_vertices",
+    "graph_to_doc",
+    "graph_from_doc",
+    "frame_to_doc",
+    "frame_from_doc",
     "to_json_doc",
     "from_json_doc",
     "to_dot",
@@ -192,20 +196,6 @@ class GraphState:
         )
 
 
-@dataclass(frozen=True)
-class RewriteReport:
-    """Bond bookkeeping for one rewrite.
-
-    ``bonds_deleted`` counts edges destroyed at the rewritten vertex;
-    edge toggles among neighbors caused by a local complementation are
-    free local-unitary rewiring and are not counted.
-    """
-
-    bonds_deleted: int = 0
-    bonds_added: int = 0
-    vertices_removed: tuple[int, ...] = ()
-
-
 # -- constructors ---------------------------------------------------------
 
 
@@ -252,28 +242,23 @@ def local_complement(g: GraphState, v: int) -> GraphState:
     return g.with_edges_toggled(pairs)
 
 
-def measure_z(g: GraphState, v: int) -> tuple[GraphState, RewriteReport]:
+def measure_z(g: GraphState, v: int) -> GraphState:
     """Computational-basis measurement: delete v and its bonds.
 
     The +1 outcome branch is taken, so no byproduct corrections remain
     on the neighbors.
     """
-    deg = g.degree(v)
-    return g.without_vertex(v), RewriteReport(
-        bonds_deleted=deg, vertices_removed=(v,)
-    )
+    return g.without_vertex(v)
 
 
-def measure_y(g: GraphState, v: int) -> tuple[GraphState, RewriteReport]:
+def measure_y(g: GraphState, v: int) -> GraphState:
     """Y-basis measurement: locally complement at v, then delete v.
 
     The +1 branch is taken.  The resulting state carries an S correction
     on every former neighbor of v; callers who need the exact state can
     fetch it from :func:`y_byproduct_frame` before measuring.
     """
-    deg = g.degree(v)
-    out = local_complement(g, v).without_vertex(v)
-    return out, RewriteReport(bonds_deleted=deg, vertices_removed=(v,))
+    return local_complement(g, v).without_vertex(v)
 
 
 def y_byproduct_frame(g: GraphState, v: int) -> dict[int, str]:
@@ -286,9 +271,7 @@ def y_byproduct_frame(g: GraphState, v: int) -> dict[int, str]:
     return {b: "S" for b in sorted(g.neighbors(v))}
 
 
-def chain_to_box(
-    g: GraphState, segment: tuple[int, int, int, int]
-) -> tuple[GraphState, RewriteReport]:
+def chain_to_box(g: GraphState, segment: tuple[int, int, int, int]) -> GraphState:
     """Rewrite an embedded 4-vertex chain segment into a box.
 
     Hadamards on the two middle qubits map the path q1-q2-q3-q4 exactly
@@ -320,8 +303,7 @@ def chain_to_box(
         _norm_edge(q2, q4),
         _norm_edge(q1, q4),
     }
-    out = GraphState._trusted(g.vertices, frozenset(edges))
-    return out, RewriteReport(bonds_added=1)
+    return GraphState._trusted(g.vertices, frozenset(edges))
 
 
 # -- equivalence checks ---------------------------------------------------
@@ -445,45 +427,60 @@ def path_vertices(g: GraphState, start: int | None = None) -> list[int]:
 # -- serialization --------------------------------------------------------
 
 
-def to_json_doc(g: GraphState, frame: Mapping[int, str] | None = None) -> str:
-    """Canonical single-line JSON for a graph plus its local frame.
-
-    Vertices ascend, edges sort lexicographically with u < v, frame keys
-    ascend numerically.  Byte-stable for a given input.
-    """
-    import json
-
-    frame = frame or {}
-    for v in frame:
-        if v not in g.vertices:
-            raise ValueError(f"no such vertex: frame entry {v}")
-    doc = {
+def graph_to_doc(g: GraphState) -> dict:
+    """The graph document: ascending vertices, edges sorted with u < v."""
+    return {
         "vertices": g.sorted_vertices(),
         "edges": [list(e) for e in g.sorted_edges()],
-        "frame": {str(v): frame[v] for v in sorted(frame)},
     }
-    return json.dumps(doc, separators=(",", ":"))
 
 
-def from_json_doc(text: str) -> tuple[GraphState, dict[int, str]]:
-    import json
-
-    from . import cliffords
-
-    doc = json.loads(text)
-    g = GraphState(
+def graph_from_doc(doc: Mapping) -> GraphState:
+    """Inverse of :func:`graph_to_doc`; dangling edges and self loops raise."""
+    return GraphState(
         frozenset(doc["vertices"]),
         frozenset((u, v) for u, v in doc["edges"]),
     )
+
+
+def frame_to_doc(g: GraphState, frame: Mapping[int, str]) -> dict[str, str]:
+    """Frame document of g: vertex keys as strings, ascending numerically."""
+    for v in frame:
+        if v not in g.vertices:
+            raise ValueError(f"no such vertex: frame entry {v}")
+    return {str(v): frame[v] for v in sorted(frame)}
+
+
+def frame_from_doc(g: GraphState, doc: Mapping[str, str]) -> dict[int, str]:
+    """Inverse of :func:`frame_to_doc`; every key must be a vertex of g and
+    every label one of the 24 Clifford labels."""
+    from . import cliffords
+
     frame: dict[int, str] = {}
-    for key, label in doc.get("frame", {}).items():
+    for key, label in doc.items():
         v = int(key)
         if v not in g.vertices:
             raise ValueError(f"no such vertex: frame entry {v}")
         if label not in cliffords.BY_LABEL:
             raise ValueError(f"unknown Clifford label: {label!r}")
         frame[v] = label
-    return g, frame
+    return frame
+
+
+def to_json_doc(g: GraphState, frame: Mapping[int, str] | None = None) -> str:
+    """Canonical single-line JSON for a graph plus its local frame.
+
+    Byte-stable for a given input.
+    """
+    doc = graph_to_doc(g)
+    doc["frame"] = frame_to_doc(g, frame or {})
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def from_json_doc(text: str) -> tuple[GraphState, dict[int, str]]:
+    doc = json.loads(text)
+    g = graph_from_doc(doc)
+    return g, frame_from_doc(g, doc.get("frame", {}))
 
 
 def to_dot(g: GraphState) -> str:

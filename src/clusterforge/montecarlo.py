@@ -16,10 +16,9 @@ machinery to the arithmetic.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping
-
-from scipy import stats as _scipy_stats
 
 from .fusion import RngStream
 from .graphstate import chain
@@ -34,6 +33,7 @@ __all__ = [
     "TrialStats",
     "run_trials",
     "run_recipe_trials",
+    "chi2_sf",
     "geometric_attempts_pvalue",
 ]
 
@@ -250,6 +250,9 @@ def run_recipe_trials(
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
+    if chain_length < 4:
+        # Shorter chains cannot host an L, so no attempt would ever run.
+        raise ValueError(f"chain length must be at least 4, got {chain_length}")
     chain_a = chain(chain_length)
     chain_b = chain(chain_length, start=chain_length + 1)
     root = RngStream(seed)
@@ -270,6 +273,32 @@ def run_recipe_trials(
             break
         acc.add(attempts, bonds)
     return acc.stats()
+
+
+def chi2_sf(x: float, dof: int) -> float:
+    """Upper tail P(X >= x) of the chi-square distribution with integer dof.
+
+    Closed forms: for even dof a Poisson sum,
+    exp(-x/2) * sum_{i < dof/2} (x/2)^i / i!; for odd dof,
+    erfc(sqrt(x/2)) + sqrt(2x/pi) exp(-x/2) * sum_{r=1}^{(dof-1)/2}
+    x^(r-1) / (1*3*...*(2r-1)).
+    """
+    if dof < 1:
+        raise ValueError("chi-square needs at least one degree of freedom")
+    if x <= 0:
+        return 1.0
+    if dof % 2 == 0:
+        term = total = math.exp(-x / 2)
+        for i in range(1, dof // 2):
+            term *= x / (2 * i)
+            total += term
+        return total
+    total = math.erfc(math.sqrt(x / 2))
+    term = math.sqrt(2 * x / math.pi) * math.exp(-x / 2)
+    for r in range(1, (dof + 1) // 2):
+        total += term
+        term *= x / (2 * r + 1)
+    return total
 
 
 def geometric_attempts_pvalue(stats: TrialStats, p: float) -> float:
@@ -294,5 +323,5 @@ def geometric_attempts_pvalue(stats: TrialStats, p: float) -> float:
         observed.pop()
     if len(expected) == 1:
         return 1.0
-    result = _scipy_stats.chisquare(f_obs=observed, f_exp=expected)
-    return float(result.pvalue)
+    statistic = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    return chi2_sf(statistic, len(expected) - 1)

@@ -11,7 +11,8 @@ Cost conventions: every destroyed edge costs one bond (measurements pay
 the measured vertex's degree, failed fusions pay both targets'
 degrees), bonds created by the box rewrite or by successful fusion are
 free, and every measured, fused, or discarded qubit counts once in
-``qubits_consumed``.
+``qubits_consumed``.  Each recorded trace step is charged through
+:func:`~clusterforge.fusion.step_cost`, so a trace carries its own ledger.
 """
 
 from __future__ import annotations
@@ -22,10 +23,14 @@ from typing import Iterable, Mapping, Sequence
 
 from . import cliffords
 from . import tableau as tb
-from .fusion import CostLedger, FusionOutcome, RngStream, merge_disjoint, type1_fuse
+from .fusion import CostLedger, FusionOutcome, RngStream, merge_disjoint, step_cost, type1_fuse
 from .graphstate import (
     GraphState,
     chain_to_box,
+    frame_from_doc,
+    frame_to_doc,
+    graph_from_doc,
+    graph_to_doc,
     measure_y,
     measure_z,
     path_vertices,
@@ -170,30 +175,32 @@ class _Builder:
         else:
             self.frame[v] = combined
 
+    def _record(self, step: dict) -> None:
+        self.trace.append(step)
+        self.ledger += step_cost(step)
+
     # -- steps -----------------------------------------------------------
 
     def box(self, segment: tuple[int, int, int, int]) -> None:
-        self.graph, _ = chain_to_box(self.graph, segment)
-        self.trace.append({"op": "box", "segment": list(segment)})
+        self.graph = chain_to_box(self.graph, segment)
+        self._record({"op": "box", "segment": list(segment)})
 
     def zmeas(self, v: int) -> None:
         if v in self.frame:
             raise ValueError(f"vertex {v} carries a frame correction; absorb it first")
         bonds = self.graph.degree(v)
-        self.graph, _ = measure_z(self.graph, v)
-        self.ledger += CostLedger(bonds_consumed=bonds, qubits_consumed=1)
-        self.trace.append({"op": "measure_z", "vertex": v, "bonds": bonds})
+        self.graph = measure_z(self.graph, v)
+        self._record({"op": "measure_z", "vertex": v, "bonds": bonds})
 
     def ymeas(self, v: int) -> None:
         if v in self.frame:
             raise ValueError(f"vertex {v} carries a frame correction; absorb it first")
         corrections = y_byproduct_frame(self.graph, v)
         bonds = self.graph.degree(v)
-        self.graph, _ = measure_y(self.graph, v)
+        self.graph = measure_y(self.graph, v)
         for b, label in corrections.items():
             self._push_frame(b, label)
-        self.ledger += CostLedger(bonds_consumed=bonds, qubits_consumed=1)
-        self.trace.append({"op": "measure_y", "vertex": v, "bonds": bonds})
+        self._record({"op": "measure_y", "vertex": v, "bonds": bonds})
 
     def fuse(
         self, a: int, b: int, *, allow_nonleaf: bool = False, _replay: str | None = None
@@ -205,8 +212,7 @@ class _Builder:
         self.graph, outcome, delta = type1_fuse(
             self.graph, a, b, rng=rng, forced=forced, allow_nonleaf=allow_nonleaf
         )
-        self.ledger += delta
-        self.trace.append(
+        self._record(
             {
                 "op": "fuse",
                 "a": a,
@@ -222,13 +228,7 @@ class _Builder:
     def merge_step(self, extra: GraphState) -> None:
         """Bring fresh disjoint material into the working graph mid-recipe."""
         self.graph = merge_disjoint(self.graph, extra)
-        self.trace.append(
-            {
-                "op": "merge",
-                "vertices": sorted(extra.vertices),
-                "edges": [list(e) for e in extra.sorted_edges()],
-            }
-        )
+        self._record({"op": "merge", **graph_to_doc(extra)})
 
     def absorb(self, other: RecipeResult) -> None:
         """Adopt a finished disjoint result: graphs, traces, and ledgers join."""
@@ -244,7 +244,7 @@ class _Builder:
     def relabel(self, mapping: Mapping[int, int]) -> None:
         self.graph = self.graph.relabel(mapping)
         self.frame = {mapping.get(v, v): lab for v, lab in self.frame.items()}
-        self.trace.append(
+        self._record(
             {"op": "relabel", "mapping": {str(k): v for k, v in sorted(mapping.items())}}
         )
 
@@ -254,8 +254,7 @@ class _Builder:
             if v in self.frame:
                 raise ValueError(f"vertex {v} carries a frame correction; absorb it first")
             self.graph = self.graph.without_vertex(v)
-        self.ledger += CostLedger(qubits_consumed=len(isolated))
-        self.trace.append({"op": "drop_isolated", "vertices": isolated})
+        self._record({"op": "drop_isolated", "vertices": isolated})
         return isolated
 
     def tableau_rewrite(
@@ -278,7 +277,7 @@ class _Builder:
         g_pos, frame_pos = tb.to_graph(t)
         self.graph = g_pos.relabel({i: v for i, v in enumerate(order)})
         self.frame = {order[q]: lab for q, lab in sorted(frame_pos.items())}
-        self.trace.append(
+        self._record(
             {
                 "op": "tableau_rewrite",
                 "hadamards": list(hadamards),
@@ -416,6 +415,25 @@ def _l_segment(path: list[int]) -> tuple[int, int, int, int] | None:
     return None
 
 
+def _attempt_rung(
+    b: _Builder, hosts: Sequence[list[int]], segments: Sequence[tuple[int, int, int, int]]
+) -> FusionOutcome:
+    """One rung attempt between two host paths.
+
+    Builds an L on each host's segment (box, then Z on the segment's
+    second vertex) and fuses the two arm qubits.  The measured and fused
+    vertices leave their host paths in place.
+    """
+    for host, seg in zip(hosts, segments):
+        b.box(seg)
+        b.zmeas(seg[1])
+        host.remove(seg[1])
+    outcome = b.fuse(segments[0][2], segments[1][2])
+    for host, seg in zip(hosts, segments):
+        host.remove(seg[2])
+    return outcome
+
+
 def _exhaust(b: _Builder, name: str, annotations: dict) -> ResourcesExhaustedError:
     annotations = dict(annotations)
     annotations["exhausted"] = True
@@ -450,15 +468,7 @@ def build_h_shape(
         seg_b = _l_segment(path_b)
         if seg_a is None or seg_b is None:
             raise _exhaust(b, "H", {"rails": [path_a, path_b], "rungs": []})
-        b.box(seg_a)
-        b.zmeas(seg_a[1])
-        b.box(seg_b)
-        b.zmeas(seg_b[1])
-        path_a = [v for v in path_a if v != seg_a[1]]
-        path_b = [v for v in path_b if v != seg_b[1]]
-        outcome = b.fuse(seg_a[2], seg_b[2])
-        path_a = [v for v in path_a if v != seg_a[2]]
-        path_b = [v for v in path_b if v != seg_b[2]]
+        outcome = _attempt_rung(b, (path_a, path_b), (seg_a, seg_b))
         if outcome.success:
             annotations = {
                 "rails": [path_a, path_b],
@@ -492,8 +502,11 @@ def grow_ladder(
     both rails.  When a rail runs too short, the next chain from
     ``chains`` is fused leaf-to-leaf onto its far end (one more
     probabilistic attempt; failure shortens both ends by one).  With no
-    material left, raises :class:`ResourcesExhaustedError`.
+    material left, or once failures have eaten a rail back to its last
+    rung, raises :class:`ResourcesExhaustedError`.
     """
+    if rung_count < 0:
+        raise ValueError(f"rung count must be non-negative, got {rung_count}")
     if rung_count == 0:
         return h
     rails, cursors, rungs = _rail_state(h)
@@ -503,7 +516,9 @@ def grow_ladder(
 
     def ensure_rail(i: int) -> None:
         while len(rails[i]) < cursors[i] + 5:
-            if not pool:
+            # The vertex at the cursor holds the last rung, so only a leaf
+            # past it may take a spare chain.
+            if not pool or len(rails[i]) <= cursors[i] + 1:
                 raise _exhaust(
                     b, name, {"rails": rails, "cursors": cursors, "rungs": rungs}
                 )
@@ -526,17 +541,8 @@ def grow_ladder(
     while added < rung_count:
         ensure_rail(0)
         ensure_rail(1)
-        segs = []
-        for i in (0, 1):
-            c = cursors[i]
-            seg = tuple(rails[i][c + 1 : c + 5])
-            b.box(seg)
-            b.zmeas(seg[1])
-            rails[i] = [v for v in rails[i] if v != seg[1]]
-            segs.append(seg)
-        outcome = b.fuse(segs[0][2], segs[1][2])
-        for i in (0, 1):
-            rails[i] = [v for v in rails[i] if v != segs[i][2]]
+        segs = [tuple(rails[i][cursors[i] + 1 : cursors[i] + 5]) for i in (0, 1)]
+        outcome = _attempt_rung(b, rails, segs)
         if outcome.success:
             rungs.append(outcome.merged)
             cursors = [rails[i].index(segs[i][0]) for i in (0, 1)]
@@ -564,21 +570,11 @@ def grow_depth(
     new_path = path_vertices(new_chain)
     while True:
         c = cursors[outer]
-        if len(rails[outer]) < c + 5:
+        seg_n = _l_segment(new_path)
+        if len(rails[outer]) < c + 5 or seg_n is None:
             raise _exhaust(b, "depth", {"rails": rails, "cursors": cursors, "rungs": rungs})
         seg_r = tuple(rails[outer][c + 1 : c + 5])
-        seg_n = _l_segment(new_path)
-        if seg_n is None:
-            raise _exhaust(b, "depth", {"rails": rails, "cursors": cursors, "rungs": rungs})
-        b.box(seg_r)
-        b.zmeas(seg_r[1])
-        rails[outer] = [v for v in rails[outer] if v != seg_r[1]]
-        b.box(seg_n)
-        b.zmeas(seg_n[1])
-        new_path = [v for v in new_path if v != seg_n[1]]
-        outcome = b.fuse(seg_r[2], seg_n[2])
-        rails[outer] = [v for v in rails[outer] if v != seg_r[2]]
-        new_path = [v for v in new_path if v != seg_n[2]]
+        outcome = _attempt_rung(b, (rails[outer], new_path), (seg_r, seg_n))
         if outcome.success:
             rungs.append(outcome.merged)
             cursors[outer] = rails[outer].index(seg_r[0])
@@ -614,8 +610,7 @@ def join_double_boxes(
             raise ValueError(f"{what} does not look like a double-box result")
     sx = x.annotations["start"]
     sy = y.annotations["start"]
-    b = _Builder(x.graph, rng, forced, initial=x.initial, frame=x.frame,
-                 ledger=x.ledger, trace=x.trace)
+    b = _Builder.resume(x, rng, forced)
     b.absorb(y)
     outcomes = []
     rungs = []
@@ -772,48 +767,19 @@ def nodeless_rung(g: GraphState, v: int) -> RecipeResult:
 # -- serialization and replay --------------------------------------------------
 
 
-def _graph_doc(g: GraphState) -> dict:
-    return {
-        "vertices": g.sorted_vertices(),
-        "edges": [list(e) for e in g.sorted_edges()],
-    }
-
-
-def _graph_from_doc(doc: dict) -> GraphState:
-    return GraphState(
-        frozenset(doc["vertices"]),
-        frozenset((u, v) for u, v in doc["edges"]),
-    )
-
-
 def trace_ledger(trace: Iterable[Mapping]) -> CostLedger:
     """Reconstruct the total ledger from a trace's per-step deltas."""
-    total = CostLedger()
-    for step in trace:
-        op = step["op"]
-        if op in ("measure_z", "measure_y"):
-            total += CostLedger(bonds_consumed=step["bonds"], qubits_consumed=1)
-        elif op == "fuse":
-            success = step["outcome"] == "S"
-            total += CostLedger(
-                bonds_consumed=step["bonds"],
-                qubits_consumed=1 if success else 2,
-                fusion_attempts=1,
-                fusion_successes=1 if success else 0,
-            )
-        elif op == "drop_isolated":
-            total += CostLedger(qubits_consumed=len(step["vertices"]))
-    return total
+    return sum((step_cost(step) for step in trace), CostLedger())
 
 
 def result_to_doc(result: RecipeResult) -> dict:
     return {
         "name": result.name,
-        "graph": _graph_doc(result.graph),
-        "frame": {str(v): lab for v, lab in sorted(result.frame.items())},
+        "graph": graph_to_doc(result.graph),
+        "frame": frame_to_doc(result.graph, result.frame),
         "ledger": result.ledger.to_dict(),
         "trace": [dict(step) for step in result.trace],
-        "initial": _graph_doc(result.initial),
+        "initial": graph_to_doc(result.initial),
         "annotations": result.annotations,
     }
 
@@ -824,13 +790,14 @@ def result_to_json(result: RecipeResult) -> str:
 
 
 def result_from_doc(doc: dict) -> RecipeResult:
+    graph = graph_from_doc(doc["graph"])
     return RecipeResult(
         name=doc["name"],
-        graph=_graph_from_doc(doc["graph"]),
-        frame={int(v): lab for v, lab in doc.get("frame", {}).items()},
+        graph=graph,
+        frame=frame_from_doc(graph, doc.get("frame", {})),
         ledger=CostLedger.from_dict(doc["ledger"]),
         trace=tuple(dict(step) for step in doc["trace"]),
-        initial=_graph_from_doc(doc["initial"]),
+        initial=graph_from_doc(doc["initial"]),
         annotations=doc.get("annotations", {}),
     )
 
@@ -844,7 +811,7 @@ def replay(doc: dict | str) -> RecipeResult:
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    b = _Builder(_graph_from_doc(doc["initial"]))
+    b = _Builder(graph_from_doc(doc["initial"]))
     for step in doc["trace"]:
         op = step["op"]
         if op == "box":
@@ -865,12 +832,7 @@ def replay(doc: dict | str) -> RecipeResult:
             ):
                 raise ValueError("trace does not replay: fusion step mismatch")
         elif op == "merge":
-            b.merge_step(
-                GraphState(
-                    frozenset(step["vertices"]),
-                    frozenset((u, v) for u, v in step["edges"]),
-                )
-            )
+            b.merge_step(graph_from_doc(step))
         elif op == "relabel":
             b.relabel({int(k): v for k, v in step["mapping"].items()})
         elif op == "drop_isolated":

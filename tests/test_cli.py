@@ -308,3 +308,43 @@ def test_seed_env_variable():
         env_extra={"CLUSTERFORGE_SEED": "42"},
     )
     assert flag_wins.stdout == run_cli("build", "H", "--chains", "8,8", "--seed", "3").stdout
+
+
+def test_verify_bad_options_exit_1_with_one_line():
+    cases = [
+        (("--n", "20"), b"qubit"),
+        (("--n", "1"), b"need at least two vertices"),
+        (("--cases", "0"), b"need at least one case"),
+    ]
+    for args, needle in cases:
+        r = run_cli("verify", "triple-agreement", *args)
+        assert r.returncode == 1, args
+        assert r.stdout == b"", args
+        assert r.stderr.count(b"\n") == 1 and needle in r.stderr, (args, r.stderr)
+
+
+def test_build_ladder_negative_rungs_exit_1():
+    r = run_cli("build", "ladder", "--chains", "8,8", "--rungs", "-1", "--force", "S")
+    assert r.returncode == 1
+    assert r.stderr == b"build ladder: rung count must be non-negative, got -1\n"
+
+
+def test_build_ladder_running_back_to_its_last_rung_exits_2():
+    r = run_cli(
+        "build", "ladder", "--chains", "12,12", "--spares", "8,8", "--rungs", "2", "--seed", "2",
+    )
+    assert r.returncode == 2
+    assert r.stderr.count(b"\n") == 1 and b"resource chains exhausted" in r.stderr
+    assert json.loads(r.stdout)["annotations"]["exhausted"] is True
+
+
+def test_unknown_frame_label_is_rejected(tmp_path):
+    doc = json.loads(run_cli("build", "L", "--chain", "4").stdout)
+    doc["frame"] = {"1": "Q"}
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(doc))
+    for args in (("export", str(path), "--to", "json"), ("replay", str(path))):
+        r = run_cli(*args)
+        assert r.returncode == 1, args
+        assert r.stdout == b"", args
+        assert b"unknown Clifford label: 'Q'" in r.stderr, args

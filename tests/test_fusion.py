@@ -9,6 +9,7 @@ from clusterforge.fusion import (
     FusionOutcome,
     RngStream,
     merge_disjoint,
+    step_cost,
     type1_fuse,
 )
 from clusterforge.graphstate import GraphState, chain, star
@@ -90,6 +91,16 @@ def test_fusion_outcome_consistency():
         FusionOutcome(True)
     with pytest.raises(ValueError, match="cannot name a merged vertex"):
         FusionOutcome(False, merged=7)
+
+
+def test_step_cost_per_op():
+    assert step_cost({"op": "measure_z", "vertex": 2, "bonds": 3}) == CostLedger(3, 1)
+    assert step_cost({"op": "measure_y", "vertex": 2, "bonds": 2}) == CostLedger(2, 1)
+    assert step_cost({"op": "fuse", "outcome": "S", "bonds": 0}) == CostLedger(0, 1, 1, 1)
+    assert step_cost({"op": "fuse", "outcome": "F", "bonds": 4}) == CostLedger(4, 2, 1, 0)
+    assert step_cost({"op": "drop_isolated", "vertices": [5, 9]}) == CostLedger(0, 2)
+    for op in ("box", "merge", "relabel", "tableau_rewrite"):
+        assert step_cost({"op": op}) == CostLedger()
 
 
 # -- type-I fusion --------------------------------------------------------------

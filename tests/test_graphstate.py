@@ -12,6 +12,8 @@ from clusterforge.graphstate import (
     chain,
     chain_to_box,
     from_json_doc,
+    graph_from_doc,
+    graph_to_doc,
     isomorphic,
     lc_equivalent,
     local_complement,
@@ -119,20 +121,16 @@ def test_local_complement_is_involutive(g):
 
 
 def test_measure_z_deletes_vertex():
-    g, report = measure_z(chain(4), 2)
+    g = measure_z(chain(4), 2)
     assert g.sorted_edges() == [(3, 4)]
-    assert 2 not in g.vertices
-    assert report.bonds_deleted == 2
-    assert report.vertices_removed == (2,)
+    assert g.vertices == {1, 3, 4}
 
 
 def test_measure_y_complements_then_deletes():
-    g, report = measure_y(chain(4), 2)
+    g = measure_y(chain(4), 2)
     assert g.sorted_edges() == [(1, 3), (3, 4)]
-    assert report.bonds_deleted == 2
     # same thing step by step
-    manual, _ = measure_z(local_complement(chain(4), 2), 2)
-    assert g == manual
+    assert g == measure_z(local_complement(chain(4), 2), 2)
 
 
 def test_y_byproduct_frame_marks_neighbors():
@@ -141,11 +139,11 @@ def test_y_byproduct_frame_marks_neighbors():
 
 
 def test_chain_to_box_edges_and_report():
-    boxed, report = chain_to_box(chain(4), (1, 2, 3, 4))
+    boxed = chain_to_box(chain(4), (1, 2, 3, 4))
     assert boxed == BOX
-    assert report.bonds_added == 1
+    assert len(boxed.edges) == len(chain(4).edges) + 1
     # ends may keep outside neighbors, middles may not
-    long, _ = chain_to_box(chain(6), (2, 3, 4, 5))
+    long = chain_to_box(chain(6), (2, 3, 4, 5))
     assert long.sorted_edges() == [(1, 2), (2, 4), (2, 5), (3, 4), (3, 5), (5, 6)]
 
 
@@ -234,6 +232,16 @@ def test_json_round_trip_property(g):
     g2, frame = from_json_doc(to_json_doc(g))
     assert g2 == g
     assert frame == {}
+
+
+def test_graph_doc_round_trip_and_validation():
+    doc = graph_to_doc(BOX)
+    assert doc == {"vertices": [1, 2, 3, 4], "edges": [[1, 3], [1, 4], [2, 3], [2, 4]]}
+    assert graph_from_doc(doc) == BOX
+    with pytest.raises(ValueError, match="dangles"):
+        graph_from_doc({"vertices": [1], "edges": [[1, 2]]})
+    with pytest.raises(ValueError, match="self loop"):
+        graph_from_doc({"vertices": [1], "edges": [[1, 1]]})
 
 
 def test_json_rejects_bad_frames():

@@ -1,6 +1,8 @@
 """Cost model, closed forms, and the trial harness."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from clusterforge.montecarlo import (
     PRESETS,
     CostModel,
     TrialStats,
+    chi2_sf,
     closed_form_cost_variance,
     closed_form_expected_attempts,
     closed_form_expected_cost,
@@ -195,6 +198,42 @@ def test_pvalue_degenerate_single_bin():
         geometric_attempts_pvalue(s, 0.0)
 
 
+# (x, dof, scipy.stats.chi2.sf(x, dof) from scipy 1.17.1)
+CHI2_SF_TABLE = [
+    (0.5, 1, 0.47950012218695337),
+    (10.0, 1, 0.001565402258002549),
+    (40.0, 1, 2.5396285894708634e-10),
+    (3.0, 2, 0.22313016014842982),
+    (40.0, 2, 2.0611536224385566e-09),
+    (3.0, 3, 0.3916251762710877),
+    (40.0, 4, 4.328422607120966e-08),
+    (10.0, 5, 0.07523524614651217),
+    (10.0, 10, 0.44049328506521257),
+    (10.0, 11, 0.5303871510010405),
+    (3.0, 30, 0.9999999999176028),
+    (40.0, 30, 0.10486428110798468),
+]
+
+
+@pytest.mark.parametrize("x, dof, expected", CHI2_SF_TABLE)
+def test_chi2_sf_matches_frozen_table(x, dof, expected):
+    assert chi2_sf(x, dof) == pytest.approx(expected, rel=1e-12)
+
+
+def test_chi2_sf_edges():
+    assert chi2_sf(0.0, 3) == 1.0
+    assert chi2_sf(1e4, 4) == 0.0
+    with pytest.raises(ValueError, match="degree of freedom"):
+        chi2_sf(1.0, 0)
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, clusterforge; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_pvalue_over_probability_grid():
     for i, p in enumerate((0.25, 0.5, 0.75, 1.0)):
         s = run_trials(CostModel(success_probability=p), 20000, 100 + i)
@@ -216,3 +255,9 @@ def test_recipe_trials_frozen_sums():
     assert s.attempt_histogram[1] == 991
     with pytest.raises(ValueError, match="at least one trial"):
         run_recipe_trials(0, 1)
+
+
+def test_recipe_trials_reject_chains_too_short_for_an_l():
+    with pytest.raises(ValueError, match="chain length must be at least 4"):
+        run_recipe_trials(1, 0, chain_length=3)
+    assert run_recipe_trials(1, 0, chain_length=4).trials == 1

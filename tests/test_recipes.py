@@ -282,6 +282,24 @@ def test_ladder_exhausts_without_spares():
         grow_ladder(h66(), [], 1, rng=None, forced="S")
 
 
+def test_ladder_rejects_negative_rung_count():
+    with pytest.raises(ValueError, match="rung count must be non-negative"):
+        grow_ladder(h88(), [], -1, rng=None)
+
+
+def test_ladder_exhausts_when_failures_reach_the_last_rung():
+    """A failed spare fusion can leave a rail ending at its last rung's hub,
+    which must not be fused onto the next spare."""
+    h = build_h_shape(chain(12, start=17), chain(12, start=29), forced="S")
+    spares = [chain(8), chain(8, start=9)]
+    with pytest.raises(ResourcesExhaustedError) as info:
+        grow_ladder(h, spares, 2, rng=None, forced="F,F,S,S,F")
+    partial = info.value.partial
+    assert partial.annotations["rails"][1] == [29, 30, 33]
+    assert partial.annotations["cursors"] == [2, 2]
+    assert trace_ledger(partial.trace) == partial.ledger
+
+
 def test_depth_growth_frozen():
     res = grow_depth(h88(), chain(6, start=18), rng=None, forced="S")
     assert res.graph.neighbors(24) == {13, 19}
