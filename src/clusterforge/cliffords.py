@@ -67,7 +67,8 @@ class CliffordOp:
             # U Y U+ = i (U X U+)(U Z U+)
             phase, letter = _PAULI_PRODUCT[(self.x_to, self.z_to)]
             total = 1j * self.x_sign * self.z_sign * phase
-            assert total in (1, -1)
+            if total not in (1, -1):
+                raise AssertionError("conjugated Y must carry a real sign")
             return letter, sign * int(total.real)
         raise ValueError(f"not a Pauli letter: {pauli!r}")
 
@@ -105,7 +106,8 @@ def _enumerate() -> tuple[list[CliffordOp], dict[CliffordOp, str]]:
                     order.append(cand)
                     nxt.append((cand, word + gen_word))
         frontier = nxt
-    assert len(order) == 24
+    if len(order) != 24:
+        raise AssertionError("H and S must generate the 24 single-qubit Cliffords")
     return order, labels
 
 

@@ -53,6 +53,8 @@ class CostModel:
     success_probability: float = 0.5
 
     def __post_init__(self):
+        if not (math.isfinite(self.l_build_cost) and math.isfinite(self.failure_penalty)):
+            raise ValueError("cost parameters must be finite")
         if self.l_build_cost < 0 or self.failure_penalty < 0:
             raise ValueError("cost parameters must be nonnegative")
         if not 0 < self.success_probability <= 1:
@@ -211,18 +213,28 @@ class _Accumulator:
         )
 
 
+# A tiny p would otherwise keep run_trials drawing without visible end.
+MAX_EXPECTED_DRAWS = 10**7
+
+
 def run_trials(model: CostModel, n_trials: int, seed: int) -> TrialStats:
     """Sample the abstract retry process; deterministic per seed.
 
     Each trial draws from its own substream, so the result does not
     depend on execution order and batches over disjoint index ranges
-    merge to the same stats.
+    merge to the same stats.  Inputs expecting more than
+    ``MAX_EXPECTED_DRAWS`` draws are rejected.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
+    p = model.success_probability
+    if n_trials / p > MAX_EXPECTED_DRAWS:
+        raise ValueError(
+            f"{n_trials} trials at p={p:g} expect {n_trials / p:.3g} draws, "
+            f"more than {MAX_EXPECTED_DRAWS:.0e}"
+        )
     root = RngStream(seed)
     acc = _Accumulator()
-    p = model.success_probability
     for i in range(n_trials):
         rng = root.substream(i)
         attempts = 1

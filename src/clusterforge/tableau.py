@@ -7,6 +7,12 @@ j (Y where both bits are set).  Row products track phases exactly, so
 two tableaus describe the same state iff their canonical forms match
 byte for byte, signs included.
 
+The public :class:`StabilizerTableau` constructor is the one place that
+validates (0/1 bits, shapes, commuting and independent generators).
+Gates, measurements, row reductions and graph states keep a valid group
+by construction (Aaronson & Gottesman, PRA 70, 052328 (2004)), so the
+tableaus built here skip that check.
+
 The graph extraction in :func:`to_graph` reduces any stabilizer state
 to a graph state plus per-qubit Clifford corrections and re-derives the
 input from its own answer as a self-check.
@@ -130,41 +136,50 @@ class StabilizerTableau:
     __slots__ = ("n", "_x", "_z", "_neg")
 
     def __init__(self, x: np.ndarray, z: np.ndarray, neg: np.ndarray):
-        x = np.array(x, dtype=np.uint8)
-        z = np.array(z, dtype=np.uint8)
-        neg = np.array(neg, dtype=np.uint8)
-        n = x.shape[0]
+        x, z, neg = _bits(x), _bits(z), _bits(neg)
+        n = neg.size
         if x.shape != (n, n) or z.shape != (n, n) or neg.shape != (n,):
             raise ValueError("tableau arrays have inconsistent shapes")
         if n == 0:
             raise ValueError("tableau needs at least one qubit")
-        self.n = n
-        self._x = x
-        self._z = z
-        self._neg = neg
-        self._validate_group()
-        for arr in (self._x, self._z, self._neg):
-            arr.setflags(write=False)
-
-    def _validate_group(self) -> None:
-        x, z = self._x.astype(np.int64), self._z.astype(np.int64)
-        sym = (x @ z.T + z @ x.T) % 2
-        if np.any(sym):
+        xi, zi = x.astype(np.int64), z.astype(np.int64)
+        if np.any((xi @ zi.T + zi @ xi.T) % 2):
             raise ValueError("generators do not commute pairwise")
-        stacked = np.concatenate([self._x, self._z], axis=1)
-        if _gf2_rank(stacked) != self.n:
+        # Commuting rows keep every row product real, as _eliminate needs.
+        if _eliminate(x.copy(), z.copy(), neg.copy(), 2 * n) != n:
             raise ValueError("generators are not independent")
+        self._adopt(x, z, neg)
+
+    @classmethod
+    def _trusted(
+        cls, x: np.ndarray, z: np.ndarray, neg: np.ndarray
+    ) -> "StabilizerTableau":
+        """Skip validation for generators that are valid by construction.
+
+        Internal fast path for gates, measurements and row reductions;
+        the arrays must be 0/1 uint8 arrays of shapes (n, n), (n, n) and
+        (n,) holding n commuting, independent rows, and the result takes
+        ownership of them.
+        """
+        self = object.__new__(cls)
+        self._adopt(x, z, neg)
+        return self
+
+    def _adopt(self, x: np.ndarray, z: np.ndarray, neg: np.ndarray) -> None:
+        self.n = x.shape[0]
+        self._x, self._z, self._neg = x, z, neg
+        for arr in (x, z, neg):
+            arr.setflags(write=False)
 
     # -- construction helpers --------------------------------------------
 
     @classmethod
     def from_rows(cls, rows: list[PauliString]) -> "StabilizerTableau":
-        n = rows[0].n
+        if not rows:
+            raise ValueError("tableau needs at least one qubit")
         x = np.array([r.x_bits for r in rows], dtype=np.uint8)
         z = np.array([r.z_bits for r in rows], dtype=np.uint8)
         neg = np.array([0 if r.sign == 1 else 1 for r in rows], dtype=np.uint8)
-        if x.shape != (n, n):
-            raise ValueError("need exactly n generators of length n")
         return cls(x, z, neg)
 
     @property
@@ -242,7 +257,7 @@ class StabilizerTableau:
                 z[:, [a, b]] = z[:, [b, a]]
         else:
             raise ValueError(f"unknown gate: {gate!r}")
-        return StabilizerTableau(x, z, neg)
+        return StabilizerTableau._trusted(x, z, neg)
 
     def _check_qubit(self, q: int) -> None:
         if not 0 <= q < self.n:
@@ -253,24 +268,11 @@ class StabilizerTableau:
         return "\n".join(r.text for r in canonical_form(self).rows) + "\n"
 
 
-def _gf2_rank(mat: np.ndarray) -> int:
-    m = mat.copy() % 2
-    rank = 0
-    rows, cols = m.shape
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if m[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        for r in range(rows):
-            if r != rank and m[r, col]:
-                m[r] ^= m[rank]
-        rank += 1
-    return rank
+def _bits(a) -> np.ndarray:
+    arr = np.asarray(a)
+    if not np.all((arr == 0) | (arr == 1)):
+        raise ValueError("bits must be 0 or 1")
+    return arr.astype(np.uint8)
 
 
 def _row_mult(
@@ -278,12 +280,40 @@ def _row_mult(
 ) -> None:
     """In place: row dst *= row src, with exact sign tracking."""
     exp = _phase_exponents(x[dst], z[dst], x[src], z[src])
-    assert exp in (0, 2), "product of commuting rows must have a real sign"
+    if exp not in (0, 2):
+        raise AssertionError("product of commuting rows must have a real sign")
     if exp == 2:
         neg[dst] ^= 1
     neg[dst] ^= neg[src]
     x[dst] ^= x[src]
     z[dst] ^= z[src]
+
+
+def _eliminate(x: np.ndarray, z: np.ndarray, neg: np.ndarray, ncols: int) -> int:
+    """In place: sign-tracked reduced row echelon form; returns the rank.
+
+    Columns run X block first, then Z block, and only the first
+    ``ncols`` of them are reduced.  Each pivot is the first row at or
+    below the current rank with the bit set, swapped up and cleared from
+    every other row.  Rows must commute pairwise.
+    """
+    n = x.shape[0]
+    rank = 0
+    for col in range(ncols):
+        block, c = (x, col) if col < n else (z, col - n)
+        pivot = next((r for r in range(rank, n) if block[r, c]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            for arr in (x, z, neg):
+                arr[[rank, pivot]] = arr[[pivot, rank]]
+        for r in range(n):
+            if r != rank and block[r, c]:
+                _row_mult(x, z, neg, r, rank)
+        rank += 1
+        if rank == n:
+            break
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +335,7 @@ def from_graph(g: GraphState) -> StabilizerTableau:
         x[i, i] = 1
         for u in g.neighbors(v):
             z[i, pos[u]] = 1
-    return StabilizerTableau(x, z, np.zeros(n, dtype=np.uint8))
+    return StabilizerTableau._trusted(x, z, np.zeros(n, dtype=np.uint8))
 
 
 def apply_clifford_op(
@@ -347,9 +377,7 @@ def measure_pauli(
     # Work against the positive operator; fold p's sign into the outcome.
     forced_pos = None if forced is None else forced * p.sign
 
-    x = t._x.copy()
-    z = t._z.copy()
-    neg = t._neg.copy()
+    x, z, neg = t._x.copy(), t._z.copy(), t._neg.copy()
     anti = ((x @ pz.astype(np.int64) + z @ px.astype(np.int64)) % 2).astype(bool)
 
     if anti.any():
@@ -366,13 +394,11 @@ def measure_pauli(
         x[pivot] = px
         z[pivot] = pz
         neg[pivot] = 0 if outcome_pos == 1 else 1
-        return StabilizerTableau(x, z, neg), outcome_pos * p.sign, False
+        return StabilizerTableau._trusted(x, z, neg), outcome_pos * p.sign, False
 
     # Deterministic: express p as a product of generators, tracking sign.
     canon = canonical_form(t)
-    cx = canon._x.copy()
-    cz = canon._z.copy()
-    cneg = canon._neg.copy()
+    cx, cz, cneg = canon._x, canon._z, canon._neg
     acc_x = np.zeros(t.n, dtype=np.uint8)
     acc_z = np.zeros(t.n, dtype=np.uint8)
     acc_neg = 0
@@ -389,10 +415,10 @@ def measure_pauli(
             acc_neg ^= int(cneg[i])
             rem_x ^= cx[i]
             rem_z ^= cz[i]
-    assert not rem_x.any() and not rem_z.any(), (
-        "operator commutes with the stabilizer but is not in it"
-    )
-    assert acc_exp in (0, 2)
+    if rem_x.any() or rem_z.any():
+        raise AssertionError("operator commutes with the stabilizer but is not in it")
+    if acc_exp not in (0, 2):
+        raise AssertionError("product of stabilizer elements must have a real sign")
     outcome_pos = -1 if (acc_neg ^ (acc_exp == 2)) else 1
     if forced_pos is not None and forced_pos != outcome_pos:
         raise StabilizerContradictionError(
@@ -409,31 +435,9 @@ def canonical_form(t: StabilizerTableau) -> StabilizerTableau:
     describe the same stabilizer group with the same signs iff their
     canonical forms are identical.
     """
-    x = t._x.copy()
-    z = t._z.copy()
-    neg = t._neg.copy()
-    n = t.n
-    rank = 0
-    for col in range(2 * n):
-        block, c = (x, col) if col < n else (z, col - n)
-        pivot = None
-        for r in range(rank, n):
-            if block[r, c]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            x[[rank, pivot]] = x[[pivot, rank]]
-            z[[rank, pivot]] = z[[pivot, rank]]
-            neg[[rank, pivot]] = neg[[pivot, rank]]
-        for r in range(n):
-            if r != rank and block[r, c]:
-                _row_mult(x, z, neg, r, rank)
-        rank += 1
-        if rank == n:
-            break
-    return StabilizerTableau(x, z, neg)
+    x, z, neg = t._x.copy(), t._z.copy(), t._neg.copy()
+    _eliminate(x, z, neg, 2 * t.n)
+    return StabilizerTableau._trusted(x, z, neg)
 
 
 def canonical_equal(t1: StabilizerTableau, t2: StabilizerTableau) -> bool:
@@ -452,49 +456,26 @@ def to_graph(t: StabilizerTableau) -> tuple[GraphState, dict[int, str]]:
     returning.
     """
     n = t.n
-    x = t._x.copy()
-    z = t._z.copy()
-    neg = t._neg.copy()
+    x, z, neg = t._x.copy(), t._z.copy(), t._neg.copy()
     applied: dict[int, list[str]] = {q: [] for q in range(n)}
-
-    def x_rref() -> int:
-        rank = 0
-        for col in range(n):
-            pivot = None
-            for r in range(rank, n):
-                if x[r, col]:
-                    pivot = r
-                    break
-            if pivot is None:
-                continue
-            if pivot != rank:
-                x[[rank, pivot]] = x[[pivot, rank]]
-                z[[rank, pivot]] = z[[pivot, rank]]
-                neg[[rank, pivot]] = neg[[pivot, rank]]
-            for r in range(n):
-                if r != rank and x[r, col]:
-                    _row_mult(x, z, neg, r, rank)
-            rank += 1
-        return rank
 
     # Hadamards until the X block has full rank.  A rank-deficient RREF
     # leaves pure-Z rows whose support avoids all X pivot columns, so
     # converting any support column makes the rank grow.
-    while True:
-        rank = x_rref()
-        if rank == n:
-            break
-        row = rank  # first pure-Z row
-        support = np.nonzero(z[row])[0]
-        assert support.size, "identity row in an independent tableau"
+    while (rank := _eliminate(x, z, neg, n)) < n:
+        support = np.nonzero(z[rank])[0]  # first pure-Z row
+        if not support.size:
+            raise AssertionError("identity row in an independent tableau")
         q = int(support[0])
         neg ^= x[:, q] & z[:, q]
         x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
         applied[q].append("H")
 
     # X block is now the identity; the Z block must be symmetric.
-    assert np.array_equal(x, np.eye(n, dtype=np.uint8))
-    assert np.array_equal(z, z.T), "commuting rows force a symmetric Z block"
+    if not np.array_equal(x, np.eye(n, dtype=np.uint8)):
+        raise AssertionError("full-rank X block must reduce to the identity")
+    if not np.array_equal(z, z.T):
+        raise AssertionError("commuting rows force a symmetric Z block")
 
     for q in range(n):
         if z[q, q]:
@@ -531,5 +512,6 @@ def to_graph(t: StabilizerTableau) -> tuple[GraphState, dict[int, str]]:
     check = from_graph(g)
     for q, label in frame.items():
         check = apply_clifford_op(check, label, q)
-    assert canonical_equal(check, t), "graph extraction failed self-check"
+    if not canonical_equal(check, t):
+        raise AssertionError("graph extraction failed self-check")
     return g, frame

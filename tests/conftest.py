@@ -44,7 +44,9 @@ settings.load_profile("suite")
 PROB_TOL = 1e-9
 
 
-def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
+def run_cli(
+    *args: str, env_extra: dict | None = None, timeout: float | None = None
+) -> subprocess.CompletedProcess:
     """Invoke the CLI in a subprocess; output stays as bytes on purpose."""
     env = os.environ.copy()
     env.pop("CLUSTERFORGE_SEED", None)
@@ -54,6 +56,7 @@ def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedPr
         [sys.executable, "-m", "clusterforge", *args],
         capture_output=True,
         env=env,
+        timeout=timeout,
     )
 
 

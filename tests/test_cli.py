@@ -323,6 +323,18 @@ def test_verify_bad_options_exit_1_with_one_line():
         assert r.stderr.count(b"\n") == 1 and needle in r.stderr, (args, r.stderr)
 
 
+def test_mc_unbounded_or_non_finite_inputs_exit_1_with_one_line():
+    cases = [
+        (("--p", "1e-300", "--lcost", "2", "--fail", "2", "--trials", "1"), b"draws"),
+        (("--p", "0.5", "--lcost", "nan", "--fail", "2", "--format", "json"), b"finite"),
+    ]
+    for args, needle in cases:
+        r = run_cli("mc", *args, timeout=60)
+        assert r.returncode == 1, args
+        assert r.stdout == b"", args
+        assert r.stderr.count(b"\n") == 1 and needle in r.stderr, (args, r.stderr)
+
+
 def test_build_ladder_negative_rungs_exit_1():
     r = run_cli("build", "ladder", "--chains", "8,8", "--rungs", "-1", "--force", "S")
     assert r.returncode == 1

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterforge.montecarlo import (
+    MAX_EXPECTED_DRAWS,
     PRESETS,
     CostModel,
     TrialStats,
@@ -43,6 +44,11 @@ def test_model_validation():
     with pytest.raises(ValueError, match="non-terminating process"):
         CostModel(success_probability=1.5)
     assert CostModel(success_probability=1.0).success_probability == 1.0
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="cost parameters must be finite"):
+            CostModel(l_build_cost=bad)
+        with pytest.raises(ValueError, match="cost parameters must be finite"):
+            CostModel(failure_penalty=bad)
 
 
 def test_attempt_cost():
@@ -155,6 +161,16 @@ def test_run_trials_is_deterministic():
     assert run_trials(OURS, 500, 7) != run_trials(OURS, 500, 8)
     with pytest.raises(ValueError, match="at least one trial"):
         run_trials(OURS, 0, 7)
+
+
+def test_run_trials_rejects_unbounded_draw_counts():
+    # n_trials / p beyond MAX_EXPECTED_DRAWS is refused before any draw
+    tiny = CostModel(success_probability=1e-300)
+    with pytest.raises(ValueError, match="expect 1e\\+300 draws"):
+        run_trials(tiny, 1, 0)
+    with pytest.raises(ValueError, match="draws"):
+        run_trials(OURS, MAX_EXPECTED_DRAWS // 2 + 1, 0)
+    assert run_trials(CostModel(success_probability=1e-3), 10, 0).trials == 10
 
 
 def test_run_trials_histogram_determines_sums():

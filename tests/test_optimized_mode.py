@@ -1,0 +1,39 @@
+"""Invariant checks must survive ``python -O``, which strips ``assert``."""
+
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "clusterforge"
+
+
+def test_no_assert_statements_in_the_package():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == [], "use `raise AssertionError(msg)` instead of assert: " + ", ".join(found)
+
+
+def test_to_graph_self_check_runs_under_dash_o():
+    # A broken canonical_equal must make the graph extraction refuse its answer.
+    code = (
+        "from clusterforge import tableau as tb\n"
+        "from clusterforge.graphstate import chain\n"
+        "tb.canonical_equal = lambda a, b: False\n"
+        "tb.to_graph(tb.from_graph(chain(3)))\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        timeout=60,
+    )
+    assert r.returncode != 0
+    assert b"AssertionError: graph extraction failed self-check" in r.stderr

@@ -75,8 +75,26 @@ def test_tableau_validation():
         )
     with pytest.raises(ValueError, match="inconsistent shapes"):
         StabilizerTableau(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(3))
+    with pytest.raises(ValueError, match="inconsistent shapes"):
+        StabilizerTableau(1, 1, 1)
     with pytest.raises(ValueError, match="at least one qubit"):
         StabilizerTableau(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0))
+    with pytest.raises(ValueError, match="at least one qubit"):
+        StabilizerTableau.from_rows([])
+
+
+@pytest.mark.parametrize(
+    "x, z, neg",
+    [
+        ([[3]], [[0]], [2]),
+        ([[0.5]], [[1]], [0]),
+        ([[-1]], [[0]], [0]),
+        ([[1]], [[0]], [-1]),
+    ],
+)
+def test_tableau_rejects_entries_that_are_not_bits(x, z, neg):
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        StabilizerTableau(np.array(x), np.array(z), np.array(neg))
 
 
 def test_rows_round_trip():
