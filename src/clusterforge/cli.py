@@ -243,30 +243,29 @@ def cmd_mc(args) -> int:
     return 0
 
 
-def _load_result(path: str) -> tuple[dict, RecipeResult]:
-    """A stored RecipeResult file, as its document and as the decoded result."""
+def _load_doc(path: str) -> dict:
+    """A stored RecipeResult file, parsed but not yet decoded."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}")
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"parse error: line {exc.lineno} column {exc.colno}: {exc.msg}")
-    try:
-        return doc, result_from_doc(doc)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"invalid recipe document: missing or bad field {exc}")
 
 
 def cmd_export(args) -> int:
     try:
-        _, result = _load_result(args.input)
+        result = result_from_doc(_load_doc(args.input))
         if args.to == "dot":
             payload = to_dot(result.graph)
         else:
             payload = to_json_doc(result.graph, result.frame) + "\n"
+    except (KeyError, TypeError) as exc:
+        print(f"export: invalid recipe document: missing or bad field {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"export: {exc}", file=sys.stderr)
         return 1
@@ -279,17 +278,20 @@ def cmd_export(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    # Replay first: an edited step reports where the trace stops
+    # replaying, not that the stored ledger no longer matches it.
     try:
-        doc, recorded = _load_result(args.input)
-        replayed = replay(doc)
+        doc = _load_doc(args.input)
+        replayed = result_to_json(replay(doc))
+        recorded = result_to_json(result_from_doc(doc))
     except (KeyError, TypeError) as exc:
         print(f"replay: invalid recipe document: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"replay: {exc}", file=sys.stderr)
         return 1
-    print(result_to_json(replayed))
-    if result_to_json(replayed) != result_to_json(recorded):
+    print(replayed)
+    if replayed != recorded:
         print("replay: reconstruction differs from the recorded result", file=sys.stderr)
         return 1
     return 0

@@ -11,8 +11,9 @@ is the one place that convention is written down.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .graphstate import GraphState
 
@@ -73,8 +74,7 @@ class RngStream:
         return f"RngStream(seed={self.seed:#x}, counter={self.counter})"
 
 
-@dataclass(frozen=True)
-class CostLedger:
+class CostLedger(NamedTuple):
     """Additive resource counters for a build sequence."""
 
     bonds_consumed: int = 0
@@ -83,29 +83,14 @@ class CostLedger:
     fusion_successes: int = 0
 
     def __add__(self, other: "CostLedger") -> "CostLedger":
-        return CostLedger(
-            self.bonds_consumed + other.bonds_consumed,
-            self.qubits_consumed + other.qubits_consumed,
-            self.fusion_attempts + other.fusion_attempts,
-            self.fusion_successes + other.fusion_successes,
-        )
+        return CostLedger(*map(operator.add, self, other))
 
     def to_dict(self) -> dict[str, int]:
-        return {
-            "bonds_consumed": self.bonds_consumed,
-            "qubits_consumed": self.qubits_consumed,
-            "fusion_attempts": self.fusion_attempts,
-            "fusion_successes": self.fusion_successes,
-        }
+        return self._asdict()
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "CostLedger":
-        return cls(
-            int(doc["bonds_consumed"]),
-            int(doc["qubits_consumed"]),
-            int(doc["fusion_attempts"]),
-            int(doc["fusion_successes"]),
-        )
+    def from_dict(cls, doc: Mapping) -> "CostLedger":
+        return cls(*(int(doc[name]) for name in cls._fields))
 
 
 def step_cost(step: Mapping) -> CostLedger:
@@ -118,12 +103,12 @@ def step_cost(step: Mapping) -> CostLedger:
     """
     op = step["op"]
     if op in ("measure_z", "measure_y"):
-        return CostLedger(bonds_consumed=step["bonds"], qubits_consumed=1)
+        return CostLedger(step["bonds"], 1)
     if op == "fuse":
         success = step["outcome"] == "S"
         return CostLedger(step["bonds"], 1 if success else 2, 1, int(success))
     if op == "drop_isolated":
-        return CostLedger(qubits_consumed=len(step["vertices"]))
+        return CostLedger(0, len(step["vertices"]))
     return CostLedger()
 
 

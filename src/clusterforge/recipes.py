@@ -2,23 +2,27 @@
 
 Each recipe turns one or more resource chains into a target cluster
 shape and returns a :class:`RecipeResult`: the final graph, the local
-frame of residual single-qubit corrections, an additive cost ledger,
-and a step-by-step trace.  Traces serialize to JSON and :func:`replay`
-re-executes one against the recorded starting material, reproducing the
-result bit-exactly, forced fusion outcomes included.
+frame of residual single-qubit corrections, and a step-by-step trace,
+which is the run's one record.  Traces serialize to JSON and
+:func:`replay` re-executes one against the recorded starting material,
+requiring every step to re-record identically, forced fusion outcomes
+included.
 
 Cost conventions: every destroyed edge costs one bond (measurements pay
 the measured vertex's degree, failed fusions pay both targets'
 degrees), bonds created by the box rewrite or by successful fusion are
 free, and every measured, fused, or discarded qubit counts once in
-``qubits_consumed``.  Each recorded trace step is charged through
-:func:`~clusterforge.fusion.step_cost`, so a trace carries its own ledger.
+``qubits_consumed``.  The cost ledger is the sum of
+:func:`~clusterforge.fusion.step_cost` over the trace; it is derived,
+never stored beside the trace, and :func:`result_from_doc` rejects a
+document whose stored ledger is not that sum.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import cliffords
@@ -61,6 +65,11 @@ __all__ = [
 ]
 
 
+# A string schedule expands to one token per attempt; far longer than any
+# chain can host, and small enough to expand in memory.
+MAX_SCHEDULE_TOKENS = 10**6
+
+
 class ResourcesExhaustedError(RuntimeError):
     """A retry loop ran out of chain material before succeeding.
 
@@ -82,41 +91,46 @@ class RecipeResult:
     ``graph``.  ``trace`` replays against ``initial`` to the same
     result; ``annotations`` carries derived structural metadata (rail
     paths, rung ids, forced-outcome summaries) that replay reproduces
-    deterministically.
+    deterministically.  ``ledger`` is the trace's summed step costs.
     """
 
     name: str
     graph: GraphState
     frame: dict[int, str]
-    ledger: CostLedger
     trace: tuple[dict, ...]
     initial: GraphState
     annotations: dict = field(default_factory=dict)
+
+    @cached_property
+    def ledger(self) -> CostLedger:
+        return trace_ledger(self.trace)
 
 
 def parse_schedule(forced) -> list[str]:
     """Normalize a forced-outcome schedule to a list of 'S'/'F' tokens.
 
     Accepts None, an iterable of 'S'/'F'/bools, or a compact string like
-    "S", "F,S", or "F*3,S".
+    "S", "F,S", or "F*3,S" of at most :data:`MAX_SCHEDULE_TOKENS` tokens.
     """
     if forced is None:
         return []
     if isinstance(forced, str):
-        out: list[str] = []
+        runs: list[tuple[str, int]] = []
         for token in forced.split(","):
             token = token.strip().upper()
             if not token:
                 continue
-            if "*" in token:
-                sym, _, count = token.partition("*")
-                if sym not in ("S", "F") or not count.isdigit():
-                    raise ValueError(f"bad forced-outcome token: {token!r}")
-                out.extend([sym] * int(count))
-            elif token in ("S", "F"):
-                out.append(token)
-            else:
+            sym, star, count = token.partition("*")
+            if sym not in ("S", "F") or (star and not count.isdigit()):
                 raise ValueError(f"bad forced-outcome token: {token!r}")
+            runs.append((sym, int(count) if star else 1))
+        if sum(count for _, count in runs) > MAX_SCHEDULE_TOKENS:
+            raise ValueError(
+                f"forced schedule longer than {MAX_SCHEDULE_TOKENS} tokens"
+            )
+        out: list[str] = []
+        for sym, count in runs:
+            out.extend([sym] * count)
         return out
     out = []
     for item in forced:
@@ -130,7 +144,7 @@ def parse_schedule(forced) -> list[str]:
 
 
 class _Builder:
-    """Mutable recipe executor; accumulates graph, frame, ledger, trace."""
+    """Mutable recipe executor; accumulates graph, frame and trace."""
 
     def __init__(
         self,
@@ -140,7 +154,6 @@ class _Builder:
         *,
         initial: GraphState | None = None,
         frame: Mapping[int, str] | None = None,
-        ledger: CostLedger = CostLedger(),
         trace: Sequence[dict] = (),
     ):
         self.graph = graph
@@ -148,7 +161,6 @@ class _Builder:
         self.rng = rng
         self.schedule = parse_schedule(forced)
         self.frame: dict[int, str] = dict(frame or {})
-        self.ledger = ledger
         self.trace: list[dict] = [dict(step) for step in trace]
 
     @classmethod
@@ -159,7 +171,6 @@ class _Builder:
             forced,
             initial=result.initial,
             frame=result.frame,
-            ledger=result.ledger,
             trace=result.trace,
         )
 
@@ -175,22 +186,18 @@ class _Builder:
         else:
             self.frame[v] = combined
 
-    def _record(self, step: dict) -> None:
-        self.trace.append(step)
-        self.ledger += step_cost(step)
-
     # -- steps -----------------------------------------------------------
 
     def box(self, segment: tuple[int, int, int, int]) -> None:
         self.graph = chain_to_box(self.graph, segment)
-        self._record({"op": "box", "segment": list(segment)})
+        self.trace.append({"op": "box", "segment": list(segment)})
 
     def zmeas(self, v: int) -> None:
         if v in self.frame:
             raise ValueError(f"vertex {v} carries a frame correction; absorb it first")
         bonds = self.graph.degree(v)
         self.graph = measure_z(self.graph, v)
-        self._record({"op": "measure_z", "vertex": v, "bonds": bonds})
+        self.trace.append({"op": "measure_z", "vertex": v, "bonds": bonds})
 
     def ymeas(self, v: int) -> None:
         if v in self.frame:
@@ -200,19 +207,20 @@ class _Builder:
         self.graph = measure_y(self.graph, v)
         for b, label in corrections.items():
             self._push_frame(b, label)
-        self._record({"op": "measure_y", "vertex": v, "bonds": bonds})
+        self.trace.append({"op": "measure_y", "vertex": v, "bonds": bonds})
 
-    def fuse(
-        self, a: int, b: int, *, allow_nonleaf: bool = False, _replay: str | None = None
-    ) -> FusionOutcome:
+    def fuse(self, a: int, b: int, *, allow_nonleaf: bool = False) -> FusionOutcome:
         if a in self.frame or b in self.frame:
             raise ValueError("fusion targets must be frame-free")
-        forced = _replay if _replay is not None else self._next_forced()
-        rng = None if _replay is not None else self.rng
         self.graph, outcome, delta = type1_fuse(
-            self.graph, a, b, rng=rng, forced=forced, allow_nonleaf=allow_nonleaf
+            self.graph,
+            a,
+            b,
+            rng=self.rng,
+            forced=self._next_forced(),
+            allow_nonleaf=allow_nonleaf,
         )
-        self._record(
+        self.trace.append(
             {
                 "op": "fuse",
                 "a": a,
@@ -228,23 +236,22 @@ class _Builder:
     def merge_step(self, extra: GraphState) -> None:
         """Bring fresh disjoint material into the working graph mid-recipe."""
         self.graph = merge_disjoint(self.graph, extra)
-        self._record({"op": "merge", **graph_to_doc(extra)})
+        self.trace.append({"op": "merge", **graph_to_doc(extra)})
 
     def absorb(self, other: RecipeResult) -> None:
-        """Adopt a finished disjoint result: graphs, traces, and ledgers join."""
+        """Adopt a finished disjoint result: graphs, frames and traces join."""
         self.graph = merge_disjoint(self.graph, other.graph)
         self.initial = merge_disjoint(self.initial, other.initial)
         overlap = set(self.frame) & set(other.frame)
         if overlap:
             raise ValueError(f"frame entries collide on vertices {sorted(overlap)}")
         self.frame.update(other.frame)
-        self.ledger += other.ledger
         self.trace.extend(dict(step) for step in other.trace)
 
     def relabel(self, mapping: Mapping[int, int]) -> None:
         self.graph = self.graph.relabel(mapping)
         self.frame = {mapping.get(v, v): lab for v, lab in self.frame.items()}
-        self._record(
+        self.trace.append(
             {"op": "relabel", "mapping": {str(k): v for k, v in sorted(mapping.items())}}
         )
 
@@ -254,7 +261,7 @@ class _Builder:
             if v in self.frame:
                 raise ValueError(f"vertex {v} carries a frame correction; absorb it first")
             self.graph = self.graph.without_vertex(v)
-        self._record({"op": "drop_isolated", "vertices": isolated})
+        self.trace.append({"op": "drop_isolated", "vertices": isolated})
         return isolated
 
     def tableau_rewrite(
@@ -277,7 +284,7 @@ class _Builder:
         g_pos, frame_pos = tb.to_graph(t)
         self.graph = g_pos.relabel({i: v for i, v in enumerate(order)})
         self.frame = {order[q]: lab for q, lab in sorted(frame_pos.items())}
-        self._record(
+        self.trace.append(
             {
                 "op": "tableau_rewrite",
                 "hadamards": list(hadamards),
@@ -290,7 +297,6 @@ class _Builder:
             name=name,
             graph=self.graph,
             frame=dict(self.frame),
-            ledger=self.ledger,
             trace=tuple(self.trace),
             initial=self.initial,
             annotations=annotations or {},
@@ -332,16 +338,21 @@ def build_l_shape(
     return b.finish("L", {"hub": segment[0], "arm": segment[2]})
 
 
-def _consecutive_run(g: GraphState, start: int | None, length: int, what: str) -> int:
-    """Validate a run of ``length`` consecutively labeled chain vertices.
+def _boxed_run(
+    g: GraphState, start: int | None, boxes: int, what: str
+) -> tuple[_Builder, int]:
+    """A builder on g after ``boxes`` chained box rewrites, and the run's start.
 
-    With ``start=None`` the whole graph must be such a chain.  With an
-    explicit start, the run is checked in place: interior vertices
-    (including the shared box corners) must have no outside neighbors,
-    while the two run ends may carry extensions.
+    The run is ``3 * boxes + 1`` consecutively labeled chain vertices;
+    neighboring boxes share a corner.  With ``start=None`` the whole
+    graph must be such a chain.  With an explicit start, the run is
+    checked in place: interior vertices (including the shared box
+    corners) must have no outside neighbors, while the two run ends may
+    carry extensions.
     """
+    length = 3 * boxes + 1
     if start is None:
-        return _consecutive_path(g, length, what)[0]
+        start = _consecutive_path(g, length, what)[0]
     run = range(start, start + length)
     for v in run:
         if not g.has_vertex(v):
@@ -354,7 +365,10 @@ def _consecutive_run(g: GraphState, start: int | None, length: int, what: str) -
             raise ValueError(
                 f"invalid box segment: vertex {v} must have no outside neighbors"
             )
-    return start
+    b = _Builder(g)
+    for corner in run[:-1:3]:
+        b.box((corner, corner + 1, corner + 2, corner + 3))
+    return b, start
 
 
 def build_double_box(g: GraphState, start: int | None = None) -> RecipeResult:
@@ -363,10 +377,7 @@ def build_double_box(g: GraphState, start: int | None = None) -> RecipeResult:
     Deterministic and free: the cross precursor with edge set
     {1-3,2-3,2-4,1-4, 4-6,5-6,5-7,4-7} (shifted by the chain's start).
     """
-    s = _consecutive_run(g, start, 7, "double box")
-    b = _Builder(g)
-    b.box((s, s + 1, s + 2, s + 3))
-    b.box((s + 3, s + 4, s + 5, s + 6))
+    b, s = _boxed_run(g, start, 2, "double box")
     return b.finish(
         "double-box", {"start": s, "hubs": [s + 3], "wings": [s + 1, s + 6]}
     )
@@ -374,11 +385,7 @@ def build_double_box(g: GraphState, start: int | None = None) -> RecipeResult:
 
 def build_triple_box(g: GraphState, start: int | None = None) -> RecipeResult:
     """Three chained box rewrites from a consecutive 10-chain; free."""
-    s = _consecutive_run(g, start, 10, "triple box")
-    b = _Builder(g)
-    b.box((s, s + 1, s + 2, s + 3))
-    b.box((s + 3, s + 4, s + 5, s + 6))
-    b.box((s + 6, s + 7, s + 8, s + 9))
+    b, s = _boxed_run(g, start, 3, "triple box")
     return b.finish("triple-box", {"start": s, "hubs": [s + 3, s + 6]})
 
 
@@ -389,10 +396,7 @@ def build_cross(g: GraphState, start: int | None = None) -> RecipeResult:
     becomes the center, adjacent to the four remaining ends.  With an
     explicit ``start`` the chain may extend past the run's two ends.
     """
-    s = _consecutive_run(g, start, 7, "cross")
-    b = _Builder(g)
-    b.box((s, s + 1, s + 2, s + 3))
-    b.box((s + 3, s + 4, s + 5, s + 6))
+    b, s = _boxed_run(g, start, 2, "cross")
     b.zmeas(s + 2)
     b.zmeas(s + 4)
     return b.finish("cross", {"center": s + 3})
@@ -790,29 +794,36 @@ def result_to_json(result: RecipeResult) -> str:
 
 
 def result_from_doc(doc: dict) -> RecipeResult:
+    """Decode a stored result; its ledger must be its trace's sum."""
     graph = graph_from_doc(doc["graph"])
-    return RecipeResult(
+    result = RecipeResult(
         name=doc["name"],
         graph=graph,
         frame=frame_from_doc(graph, doc.get("frame", {})),
-        ledger=CostLedger.from_dict(doc["ledger"]),
         trace=tuple(dict(step) for step in doc["trace"]),
         initial=graph_from_doc(doc["initial"]),
         annotations=doc.get("annotations", {}),
     )
+    if CostLedger.from_dict(doc["ledger"]) != result.ledger:
+        raise ValueError("stored ledger does not match its trace")
+    return result
 
 
 def replay(doc: dict | str) -> RecipeResult:
     """Re-execute a serialized trace against its recorded starting graph.
 
-    Fusion steps replay their recorded outcomes without consuming
-    randomness, so the reconstruction is bit-exact; recorded merge ids
-    and bond counts are re-checked along the way.
+    Fusions take the recorded outcomes in trace order without consuming
+    randomness, and every step must re-record exactly as stored, so the
+    reconstruction is bit-exact.  The stored ledger is not read.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    b = _Builder(graph_from_doc(doc["initial"]))
-    for step in doc["trace"]:
+    trace = doc["trace"]
+    b = _Builder(
+        graph_from_doc(doc["initial"]),
+        forced=[step["outcome"] for step in trace if step["op"] == "fuse"],
+    )
+    for step in trace:
         op = step["op"]
         if op == "box":
             b.box(tuple(step["segment"]))
@@ -821,28 +832,19 @@ def replay(doc: dict | str) -> RecipeResult:
         elif op == "measure_y":
             b.ymeas(step["vertex"])
         elif op == "fuse":
-            outcome = b.fuse(
-                step["a"],
-                step["b"],
-                allow_nonleaf=step.get("allow_nonleaf", False),
-                _replay=step["outcome"],
-            )
-            if outcome.merged != step.get("merged") or (
-                b.trace[-1]["bonds"] != step["bonds"]
-            ):
-                raise ValueError("trace does not replay: fusion step mismatch")
+            b.fuse(step["a"], step["b"], allow_nonleaf=step["allow_nonleaf"])
         elif op == "merge":
             b.merge_step(graph_from_doc(step))
         elif op == "relabel":
             b.relabel({int(k): v for k, v in step["mapping"].items()})
         elif op == "drop_isolated":
-            dropped = b.drop_isolated()
-            if dropped != list(step["vertices"]):
-                raise ValueError("trace does not replay: dropped vertices mismatch")
+            b.drop_isolated()
         elif op == "tableau_rewrite":
             b.tableau_rewrite(
                 step["hadamards"], [tuple(p) for p in step["swaps"]]
             )
         else:
             raise ValueError(f"unknown trace op: {op!r}")
+        if b.trace[-1] != step:
+            raise ValueError(f"trace does not replay: {op} step mismatch")
     return b.finish(doc["name"], doc.get("annotations", {}))

@@ -113,17 +113,19 @@ class PauliString:
         return not any(self.x_bits) and not any(self.z_bits)
 
 
-def _phase_exponents(x1: np.ndarray, z1: np.ndarray, x2: np.ndarray, z2: np.ndarray) -> int:
-    """Power of i picked up when multiplying literal Paulis (x1,z1)*(x2,z2)."""
-    # Casework per qubit; vectorized over the row.
-    y1 = x1 & z1
-    only_x1 = x1 & ~z1
-    only_z1 = ~x1 & z1
-    acc = np.zeros(x1.shape, dtype=np.int64)
-    acc += y1 * (z2.astype(np.int64) - x2.astype(np.int64))
-    acc += only_x1 * (z2 * (2 * x2.astype(np.int64) - 1))
-    acc += only_z1 * (x2 * (1 - 2 * z2.astype(np.int64)))
-    return int(acc.sum()) % 4
+# _PHASE[a, b]: power of i in P_a * P_b for literal Paulis indexed by
+# x + 2z, that is I, X, Z, Y (X*Z = -iY, X*Y = iZ, Z*Y = -iX, ...).
+_PHASE = np.array([[0, 0, 0, 0], [0, 0, 3, 1], [0, 1, 0, 3], [0, 3, 1, 0]])
+
+
+def _phase_exponents(
+    x1: np.ndarray, z1: np.ndarray, x2: np.ndarray, z2: np.ndarray
+) -> np.ndarray:
+    """Power of i picked up when multiplying literal Paulis (x1,z1)*(x2,z2).
+
+    Sums over the last axis, so a stack of rows gives one power per row.
+    """
+    return _PHASE[x1 + 2 * z1, x2 + 2 * z2].sum(axis=-1) % 4
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +278,19 @@ def _bits(a) -> np.ndarray:
 
 
 def _row_mult(
-    x: np.ndarray, z: np.ndarray, neg: np.ndarray, dst: int, src: int
+    x: np.ndarray, z: np.ndarray, neg: np.ndarray, dst, src: int
 ) -> None:
-    """In place: row dst *= row src, with exact sign tracking."""
-    exp = _phase_exponents(x[dst], z[dst], x[src], z[src])
-    if exp not in (0, 2):
+    """In place: every row in ``dst`` *= row src, with exact sign tracking."""
+    if not len(dst):
+        return
+    dst = np.asarray(dst)
+    xd, zd, xs, zs = x[dst], z[dst], x[src], z[src]
+    exp = _phase_exponents(xd, zd, xs, zs)
+    if (exp & 1).any():
         raise AssertionError("product of commuting rows must have a real sign")
-    if exp == 2:
-        neg[dst] ^= 1
-    neg[dst] ^= neg[src]
-    x[dst] ^= x[src]
-    z[dst] ^= z[src]
+    neg[dst] ^= (exp >> 1).astype(np.uint8) ^ neg[src]
+    x[dst] = xd ^ xs
+    z[dst] = zd ^ zs
 
 
 def _eliminate(x: np.ndarray, z: np.ndarray, neg: np.ndarray, ncols: int) -> int:
@@ -295,23 +299,25 @@ def _eliminate(x: np.ndarray, z: np.ndarray, neg: np.ndarray, ncols: int) -> int
     Columns run X block first, then Z block, and only the first
     ``ncols`` of them are reduced.  Each pivot is the first row at or
     below the current rank with the bit set, swapped up and cleared from
-    every other row.  Rows must commute pairwise.
+    every other row.  Rows must commute pairwise; there may be more rows
+    than qubits, and the dependent ones end up zero below the rank.
     """
-    n = x.shape[0]
+    rows, n = x.shape
     rank = 0
     for col in range(ncols):
         block, c = (x, col) if col < n else (z, col - n)
-        pivot = next((r for r in range(rank, n) if block[r, c]), None)
+        bits = block[:, c].tolist()
+        pivot = next((r for r in range(rank, rows) if bits[r]), None)
         if pivot is None:
             continue
         if pivot != rank:
             for arr in (x, z, neg):
                 arr[[rank, pivot]] = arr[[pivot, rank]]
-        for r in range(n):
-            if r != rank and block[r, c]:
-                _row_mult(x, z, neg, r, rank)
+            bits[rank], bits[pivot] = bits[pivot], bits[rank]
+        if sum(bits) > 1:
+            _row_mult(x, z, neg, [r for r in range(rows) if bits[r] and r != rank], rank)
         rank += 1
-        if rank == n:
+        if rank == rows:
             break
     return rank
 
@@ -377,14 +383,13 @@ def measure_pauli(
     # Work against the positive operator; fold p's sign into the outcome.
     forced_pos = None if forced is None else forced * p.sign
 
-    x, z, neg = t._x.copy(), t._z.copy(), t._neg.copy()
-    anti = ((x @ pz.astype(np.int64) + z @ px.astype(np.int64)) % 2).astype(bool)
+    anti = (t._x @ pz.astype(np.int64) + t._z @ px.astype(np.int64)) % 2
 
     if anti.any():
-        pivot = int(np.argmax(anti))
-        for j in np.nonzero(anti)[0]:
-            if j != pivot:
-                _row_mult(x, z, neg, int(j), pivot)
+        x, z, neg = t._x.copy(), t._z.copy(), t._neg.copy()
+        hits = np.flatnonzero(anti)
+        pivot = int(hits[0])
+        _row_mult(x, z, neg, hits[1:], pivot)
         if forced_pos is None:
             if rng is None:
                 raise ValueError("random outcome requires an rng")
@@ -396,30 +401,13 @@ def measure_pauli(
         neg[pivot] = 0 if outcome_pos == 1 else 1
         return StabilizerTableau._trusted(x, z, neg), outcome_pos * p.sign, False
 
-    # Deterministic: express p as a product of generators, tracking sign.
-    canon = canonical_form(t)
-    cx, cz, cneg = canon._x, canon._z, canon._neg
-    acc_x = np.zeros(t.n, dtype=np.uint8)
-    acc_z = np.zeros(t.n, dtype=np.uint8)
-    acc_neg = 0
-    acc_exp = 0
-    rem_x, rem_z = px.copy(), pz.copy()
-    for i in range(t.n):
-        stacked = np.concatenate([cx[i], cz[i]])
-        pivot_col = int(np.argmax(stacked))
-        rem = np.concatenate([rem_x, rem_z])
-        if rem[pivot_col]:
-            acc_exp = (acc_exp + _phase_exponents(acc_x, acc_z, cx[i], cz[i])) % 4
-            acc_x ^= cx[i]
-            acc_z ^= cz[i]
-            acc_neg ^= int(cneg[i])
-            rem_x ^= cx[i]
-            rem_z ^= cz[i]
-    if rem_x.any() or rem_z.any():
+    # Deterministic: p is a signed product of generators.  Reduced under
+    # them, its row is the one left zero, signed with p's eigenvalue.
+    x, z = np.vstack((t._x, px)), np.vstack((t._z, pz))
+    neg = np.append(t._neg, np.uint8(0))
+    if _eliminate(x, z, neg, 2 * t.n) != t.n:
         raise AssertionError("operator commutes with the stabilizer but is not in it")
-    if acc_exp not in (0, 2):
-        raise AssertionError("product of stabilizer elements must have a real sign")
-    outcome_pos = -1 if (acc_neg ^ (acc_exp == 2)) else 1
+    outcome_pos = -1 if neg[t.n] else 1
     if forced_pos is not None and forced_pos != outcome_pos:
         raise StabilizerContradictionError(
             f"contradicts stabilizer: forced {forced:+d} but outcome is fixed "

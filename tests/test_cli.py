@@ -266,7 +266,19 @@ def test_replay_tampered_trace_exits_1(tmp_path):
     path.write_text(json.dumps(doc))
     r = run_cli("replay", str(path))
     assert r.returncode == 1
-    assert b"fusion step mismatch" in r.stderr
+    assert b"fuse step mismatch" in r.stderr
+
+
+def test_edited_ledger_exits_1_with_one_line(tmp_path):
+    doc = json.loads(run_cli("build", "H", "--chains", "6,6", "--seed", "3").stdout)
+    doc["ledger"]["bonds_consumed"] += 1
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps(doc))
+    for verb in ("export", "replay"):
+        r = run_cli(verb, str(path))
+        assert r.returncode == 1, verb
+        assert r.stdout == b"", verb
+        assert r.stderr == f"{verb}: stored ledger does not match its trace\n".encode(), verb
 
 
 def test_seeded_runs_are_byte_identical():
@@ -339,6 +351,13 @@ def test_build_ladder_negative_rungs_exit_1():
     r = run_cli("build", "ladder", "--chains", "8,8", "--rungs", "-1", "--force", "S")
     assert r.returncode == 1
     assert r.stderr == b"build ladder: rung count must be non-negative, got -1\n"
+
+
+def test_build_huge_repeat_count_exits_1_with_one_line():
+    r = run_cli("build", "depth", "--chains", "6,6,6", "--force", "F*99999999999", timeout=60)
+    assert r.returncode == 1
+    assert r.stdout == b""
+    assert r.stderr == b"build depth: forced schedule longer than 1000000 tokens\n"
 
 
 def test_build_ladder_running_back_to_its_last_rung_exits_2():

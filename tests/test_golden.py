@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -22,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from clusterforge import cli
+from clusterforge.recipes import replay, result_from_doc, result_to_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -94,6 +96,17 @@ def test_golden_output(name, tmp_path, monkeypatch):
     code, text = run_case(name, tmp_path)
     assert code == CASES[name][1]
     assert text.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_golden_builds_decode_and_replay():
+    """Every stored build decodes (its ledger is its trace's sum) and replays byte for byte."""
+    builds = sorted(GOLDEN.glob("build-*.out"))
+    assert builds
+    for path in builds:
+        text = path.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert result_to_json(result_from_doc(doc)) + "\n" == text, path.name
+        assert result_to_json(replay(doc)) + "\n" == text, path.name
 
 
 def test_corpus_has_no_stray_files():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_replays_exactly
+from conftest import assert_replays_exactly, assert_tableau_replay
 from clusterforge.fusion import CostLedger, RngStream
 from clusterforge.graphstate import (
     GraphState,
@@ -81,6 +81,8 @@ def test_parse_schedule_rejects_junk():
         parse_schedule("S,Q")
     with pytest.raises(ValueError, match="bad forced-outcome token"):
         parse_schedule("F*x")
+    with pytest.raises(ValueError, match="forced schedule longer than 1000000 tokens"):
+        parse_schedule("S,F*99999999999")
 
 
 # -- deterministic single-chain recipes ----------------------------------------
@@ -500,8 +502,69 @@ def test_replay_detects_tampered_fusion():
     for step in doc["trace"]:
         if step["op"] == "fuse":
             step["outcome"] = "F"
-    with pytest.raises(ValueError, match="trace does not replay: fusion step mismatch"):
+    with pytest.raises(ValueError, match="trace does not replay: fuse step mismatch"):
         replay(json.dumps(doc))
+
+
+def test_replay_detects_tampered_measurement_bonds():
+    doc = result_to_doc(h66())
+    step = next(s for s in doc["trace"] if s["op"] == "measure_z")
+    step["bonds"] += 1
+    with pytest.raises(ValueError, match="trace does not replay: measure_z step mismatch"):
+        replay(doc)
+
+
+def test_result_from_doc_rejects_an_edited_ledger():
+    doc = result_to_doc(h66())
+    doc["ledger"]["fusion_attempts"] = 2
+    with pytest.raises(ValueError, match="stored ledger does not match its trace"):
+        result_from_doc(doc)
+
+
+def _forced_pipeline(name, schedule, seed):
+    """Run one recipe pipeline on a forced prefix, then seeded draws.
+
+    Later stages get the tokens earlier stages did not consume; an
+    exhausted stage ends the pipeline with its partial result.
+    """
+    rng = RngStream(seed)
+
+    def rest(after):
+        return schedule[after.ledger.fusion_attempts :]
+
+    try:
+        if name == "H":
+            return build_h_shape(chain(8), chain(8, start=9), rng=rng, forced=schedule)
+        if name == "ladder":
+            spares = [chain(4, start=30), chain(4, start=40)]
+            return grow_ladder(h88(), spares, 2, rng=rng, forced=schedule)
+        if name == "depth":
+            return grow_depth(h88(), chain(6, start=18), rng=rng, forced=schedule)
+        if name == "ring8":
+            return build_ring8(chain(9), rng=rng, forced=schedule)
+        joined = join_double_boxes(*double_boxes(), rng=rng, forced=schedule)
+        outcomes = joined.annotations["join_outcomes"]
+        if outcomes == ["F"]:
+            return salvage_failed_join(joined, rng=rng, forced=rest(joined))
+        if outcomes == ["S", "F"]:
+            return close_second_rung(joined, rng=rng, forced=rest(joined))
+        return joined
+    except ResourcesExhaustedError as exc:
+        return exc.partial
+
+
+@pytest.mark.parametrize("name", ["H", "ladder", "depth", "join", "ring8"])
+@given(
+    schedule=st.lists(st.sampled_from(["S", "F"]), max_size=6),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=30)
+def test_forced_schedules_replay_exactly(name, schedule, seed):
+    res = _forced_pipeline(name, schedule, seed)
+    text = result_to_json(res)
+    assert result_to_json(replay(text)) == text
+    assert trace_ledger(res.trace) == res.ledger
+    assert_tableau_replay(res)
 
 
 def test_replay_recomputes_ledger():
