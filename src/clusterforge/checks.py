@@ -5,11 +5,17 @@ possible: the combinatorial graph rewrite, exact stabilizer-tableau
 conjugation, and dense statevector simulation.  A suite returns a
 :class:`CheckReport` of named pass/fail lines instead of asserting, so
 the command line can render them and the test suite can reuse them.
+
+The physics side of every suite is one walk over a recipe trace,
+:func:`replay_tableau` and :func:`replay_oracle`: a claimed rewrite is
+recorded as a one-step trace (or taken from a recipe's own trace) and
+run on both engines.  The test suite replays whole recipe traces
+through the same two functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,23 +26,21 @@ from .graphstate import (
     GraphState,
     chain,
     chain_to_box,
+    graph_from_doc,
     isomorphic,
-    lc_equivalent,
-    measure_y,
     measure_z,
     ring,
     star,
-    y_byproduct_frame,
 )
-from .oracle import (
-    StateVector,
-    apply_unitary,
-    equal_up_to_global_phase,
-    graph_state_vector,
-    merge_qubits,
-    project_measure,
+from .oracle import apply_unitary, graph_state_vector, project_measure
+from .recipes import (
+    RecipeResult,
+    _Builder,
+    _relabel_mapping,
+    build_cross,
+    build_double_box,
+    build_ring8,
 )
-from .recipes import build_cross, build_double_box, build_ring8
 
 __all__ = [
     "CheckLine",
@@ -46,6 +50,8 @@ __all__ = [
     "random_graph",
     "measurement_agreement",
     "overlap_with_graph_state",
+    "replay_tableau",
+    "replay_oracle",
 ]
 
 OVERLAP_TOL = 1e-10
@@ -103,12 +109,181 @@ def overlap_with_graph_state(vec, g: GraphState) -> float:
     return float(abs(np.vdot(target.amplitudes, vec.amplitudes)))
 
 
-def _framed_graph_vector(g: GraphState, frame: dict[int, str]):
-    vec = graph_state_vector(g)
-    index = {v: i for i, v in enumerate(g.sorted_vertices())}
-    for v, label in frame.items():
-        vec = apply_unitary(vec, matrix(label), (index[v],))
-    return vec
+# -- physics replay: one walk over a trace, two engines -----------------------
+
+
+def _premerged_initial(result: RecipeResult) -> GraphState:
+    """Initial graph with all mid-trace merge material already present.
+
+    Material merged in later sits untouched until its first use, so
+    tensoring it in up front changes nothing physical and lets both
+    engines keep a fixed qubit count.
+    """
+    g = result.initial
+    for step in result.trace:
+        if step["op"] == "merge":
+            g = merge_disjoint(g, graph_from_doc(step))
+    return g
+
+
+class _Tableau:
+    """Stabilizer-tableau engine of the walk: exact, signs included, any size."""
+
+    def __init__(self, g: GraphState):
+        self.state = tb.from_graph(g)
+
+    def gate(self, name: str, *qubits: int) -> None:
+        self.state = self.state.apply(name, *qubits)
+
+    def measure(self, q: int, letter: str) -> float:
+        """Force the +1 outcome; returns the branch probability."""
+        p = tb.PauliString.single(self.state.n, q, letter)
+        try:
+            self.state, _, deterministic = tb.measure_pauli(self.state, p, forced=1)
+        except tb.StabilizerContradictionError:
+            return 0.0
+        return 1.0 if deterministic else 0.5
+
+    def compare(self, g: GraphState, frame: dict[int, str]) -> bool:
+        want = tb.from_graph(g)
+        for q, label in frame.items():
+            want = tb.apply_clifford_op(want, label, q)
+        return tb.canonical_equal(self.state, want)
+
+
+_GATES = {
+    "H": matrix("H"),
+    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+}
+
+
+class _Oracle:
+    """Dense statevector engine of the walk: at most 14 qubits."""
+
+    def __init__(self, g: GraphState):
+        self.state = graph_state_vector(g)
+
+    def gate(self, name: str, *qubits: int) -> None:
+        self.state = apply_unitary(self.state, _GATES[name], qubits)
+
+    def measure(self, q: int, letter: str) -> float:
+        """Force the +1 outcome; returns the branch probability."""
+        try:
+            self.state, prob = project_measure(self.state, q, letter, 1)
+        except ValueError:  # the +1 branch has vanishing probability
+            return 0.0
+        return prob
+
+    def compare(self, g: GraphState, frame: dict[int, str]) -> float:
+        """|<frame-corrected graph state of g | state>|."""
+        want = graph_state_vector(g)
+        for q, label in frame.items():
+            want = apply_unitary(want, matrix(label), (q,))
+        return float(abs(np.vdot(want.amplitudes, self.state.amplitudes)))
+
+
+def _walk(result: RecipeResult, engine_cls) -> tuple[float, bool | float | None]:
+    """Run a trace as physics on one engine and compare with graph + frame.
+
+    Qubit slots are never dropped: a consumed slot stays behind in a
+    known product state, |0> = H|+> after a Z projection, the Y=+1
+    state S|+> after a Y measurement, |+> when discarded, and the final
+    comparison carries that label.  Fusion success is CNOT(a->b) plus a
+    forced Z=+1 on b, which is exactly the |0><00| + |1><11| merge map.
+    Every measurement is forced to +1 and must have probability 1/2;
+    the walk stops at the first that does not and returns its
+    probability with no comparison.  Otherwise it returns 1/2 and the
+    engine's comparison, or no comparison when the surviving vertices
+    are not the graph's.  A trace that cannot run raises ValueError.
+    """
+    initial = _premerged_initial(result)
+    names: list[int | None] = initial.sorted_vertices()
+    consumed: dict[int, str] = {}
+    off_branch: list[float] = []
+    engine = engine_cls(initial)
+
+    def slot(v: int) -> int:
+        if v not in names:
+            raise ValueError(f"trace does not run: no live vertex {v}")
+        return names.index(v)
+
+    def consume(q: int, label: str, letter: str | None = None) -> None:
+        if letter is not None:
+            p = engine.measure(q, letter)
+            if abs(p - 0.5) > OVERLAP_TOL:
+                off_branch.append(p)
+        names[q] = None
+        consumed[q] = label
+
+    for step in result.trace:
+        op = step["op"]
+        if op == "box":
+            for v in step["segment"][1:3]:
+                engine.gate("H", slot(v))
+        elif op == "measure_z":
+            consume(slot(step["vertex"]), "H", "Z")
+        elif op == "measure_y":
+            consume(slot(step["vertex"]), "S", "Y")
+        elif op == "fuse":
+            qa, qb = slot(step["a"]), slot(step["b"])
+            if step["outcome"] == "S":
+                engine.gate("CNOT", qa, qb)
+                consume(qb, "H", "Z")
+                names[qa] = step["merged"]
+            else:
+                consume(qa, "H", "Z")
+                consume(qb, "H", "Z")
+        elif op == "merge":
+            pass  # tensored in up front
+        elif op == "relabel":
+            mapping = _relabel_mapping(step)
+            names = [mapping.get(v, v) for v in names]
+        elif op == "drop_isolated":
+            for v in step["vertices"]:
+                consume(slot(v), "I")
+        elif op == "tableau_rewrite":
+            for v in step["hadamards"]:
+                engine.gate("H", slot(v))
+            for a, b in step["swaps"]:
+                qa, qb = slot(a), slot(b)
+                names[qa], names[qb] = names[qb], names[qa]
+        else:
+            raise ValueError(f"unknown trace op: {op!r}")
+        if off_branch:
+            return off_branch[0], None
+
+    if sorted(v for v in names if v is not None) != result.graph.sorted_vertices():
+        return 0.5, None
+    slots = {v: q for q, v in enumerate(names) if v is not None}
+    edges = [(slots[u], slots[v]) for u, v in result.graph.edges]
+    frame = dict(consumed)
+    frame.update((slots[v], label) for v, label in result.frame.items())
+    return 0.5, engine.compare(GraphState(range(len(names)), edges), frame)
+
+
+def replay_tableau(result: RecipeResult) -> bool:
+    """Whether the trace, run on the stabilizer tableau from the initial
+    graph, ends exactly (signs included) in the claimed graph + frame."""
+    return bool(_walk(result, _Tableau)[1])
+
+
+def replay_oracle(result: RecipeResult) -> tuple[float, float]:
+    """The trace run as dense linear algebra: (branch probability, overlap).
+
+    The probability is 1/2 when every forced measurement had probability
+    1/2, else the first that did not; the overlap is |<claimed|replayed>|
+    and 1 up to rounding when the claimed graph + frame is right.
+    Pre-merged states wider than 14 qubits raise OracleLimitError.
+    """
+    prob, overlap = _walk(result, _Oracle)
+    return prob, overlap or 0.0
+
+
+def _one_step(g: GraphState, step: str, *args, forced=None, **kwargs) -> RecipeResult:
+    """A rewrite on g recorded as a recipe records it: a one-step trace."""
+    b = _Builder(g, forced=forced)
+    getattr(b, step)(*args, **kwargs)
+    return b.finish(step)
 
 
 def measurement_agreement(g: GraphState, vertex: int, basis: str) -> tuple[bool, str]:
@@ -120,69 +295,35 @@ def measurement_agreement(g: GraphState, vertex: int, basis: str) -> tuple[bool,
     The prediction must match tableau measurement exactly (signs
     included) and statevector projection up to global phase.
     """
-    if basis == "Z":
-        corrections: dict[int, str] = {}
-        measured_frame = "H"
-        g_after = measure_z(g, vertex)
-    elif basis == "Y":
-        corrections = y_byproduct_frame(g, vertex)
-        measured_frame = "S"
-        g_after = measure_y(g, vertex)
-    else:
+    if basis not in ("Z", "Y"):
         raise ValueError(f"unsupported measurement basis: {basis!r}")
-    expected = g_after.with_vertex(vertex)
-    frame = dict(corrections)
-    frame[vertex] = measured_frame
-
-    index = {v: i for i, v in enumerate(g.sorted_vertices())}
-    q = index[vertex]
-
-    t_after, _, _ = tb.measure_pauli(
-        tb.from_graph(g), tb.PauliString.single(g.n, q, basis), forced=1
-    )
-    t_expected = tb.from_graph(expected)
-    for v, label in frame.items():
-        t_expected = tb.apply_clifford_op(t_expected, label, index[v])
-    if not tb.canonical_equal(t_after, t_expected):
+    result = _one_step(g, "zmeas" if basis == "Z" else "ymeas", vertex)
+    if not replay_tableau(result):
         return False, f"tableau mismatch measuring {basis} at {vertex}"
-
-    vec_after, prob = project_measure(graph_state_vector(g), q, basis, 1)
+    prob, overlap = replay_oracle(result)
     if abs(prob - 0.5) > OVERLAP_TOL:
         return False, f"outcome probability {prob} is not 1/2"
-    if not equal_up_to_global_phase(vec_after, _framed_graph_vector(expected, frame)):
+    if overlap < 1 - OVERLAP_TOL:
         return False, f"oracle mismatch measuring {basis} at {vertex}"
     return True, f"{basis} at {vertex}: tableau and oracle agree"
 
 
 def _box_identity_lines(g: GraphState, segment: tuple[int, int, int, int]) -> list[CheckLine]:
     """Oracle and tableau legs of the chain-to-box identity on one segment."""
-    boxed = chain_to_box(g, segment)
-    index = {v: i for i, v in enumerate(g.sorted_vertices())}
-    mid = (index[segment[1]], index[segment[2]])
+    boxed = _one_step(g, "box", segment)
     tag = f"segment {segment}"
-
-    vec = graph_state_vector(g)
-    for q in mid:
-        vec = apply_unitary(vec, matrix("H"), (q,))
-    ov = overlap_with_graph_state(vec, boxed)
-    lines = [
+    _, ov = replay_oracle(boxed)
+    return [
         CheckLine(
             f"oracle: middle Hadamards turn the chain into the box ({tag})",
             ov >= 1 - OVERLAP_TOL,
             f"overlap={ov:.12f}",
-        )
-    ]
-
-    t = tb.from_graph(g)
-    for q in mid:
-        t = tb.apply_clifford_op(t, "H", q)
-    lines.append(
+        ),
         CheckLine(
             f"tableau: canonical forms match, signs included ({tag})",
-            tb.canonical_equal(t, tb.from_graph(boxed)),
-        )
-    )
-    return lines
+            replay_tableau(boxed),
+        ),
+    ]
 
 
 def check_box_equivalence(**_) -> CheckReport:
@@ -232,11 +373,8 @@ def check_cross(**_) -> CheckReport:
             isomorphic(result.graph, star(5)) is not None,
         )
     )
-    precursor = build_double_box(chain(7)).graph
-    vec = graph_state_vector(chain(7))
-    for q in (1, 2, 4, 5):
-        vec = apply_unitary(vec, matrix("H"), (q,))
-    ov = overlap_with_graph_state(vec, precursor)
+    precursor = build_double_box(chain(7))
+    _, ov = replay_oracle(precursor)
     lines.append(
         CheckLine(
             "oracle: four middle Hadamards give the double-box precursor",
@@ -244,6 +382,7 @@ def check_cross(**_) -> CheckReport:
             f"overlap={ov:.12f}",
         )
     )
+    precursor = precursor.graph
     for v in (3, 5):
         ok, detail = measurement_agreement(precursor, v, "Z")
         precursor = measure_z(precursor, v)
@@ -275,30 +414,18 @@ def check_measurement_rules(**_) -> CheckReport:
     return CheckReport("measurement-rules", tuple(lines))
 
 
-def _fusion_success_agrees(g: GraphState, a: int, b: int) -> tuple[bool, str]:
-    """Forced-success fusion vs the statevector merge map."""
-    merged_graph, outcome, _ = type1_fuse(g, a, b, forced="S", allow_nonleaf=True)
-    index = {v: i for i, v in enumerate(g.sorted_vertices())}
-    vec, prob = merge_qubits(graph_state_vector(g), index[a], index[b])
+def _fusion_agrees(g: GraphState, a: int, b: int, outcome: str) -> tuple[bool, str]:
+    """One forced fusion branch ('S' or 'F') replayed on the dense oracle."""
+    fused = _one_step(g, "fuse", a, b, forced=outcome, allow_nonleaf=True)
+    prob, overlap = replay_oracle(fused)
+    branch = f"fuse({a},{b})" + ("" if outcome == "S" else " failure")
     if abs(prob - 0.5) > OVERLAP_TOL:
-        return False, f"success probability {prob} is not 1/2"
-    expected = merged_graph.relabel({outcome.merged: a})
-    if not equal_up_to_global_phase(vec, graph_state_vector(expected)):
-        return False, f"merged state mismatch fusing {a},{b}"
-    return True, f"fuse({a},{b}): merge map agrees, p=1/2"
-
-
-def _fusion_failure_agrees(g: GraphState, a: int, b: int) -> tuple[bool, str]:
-    """Forced-failure fusion vs Z projections on both target qubits."""
-    failed_graph, _, _ = type1_fuse(g, a, b, forced="F", allow_nonleaf=True)
-    index = {v: i for i, v in enumerate(g.sorted_vertices())}
-    vec, p1 = project_measure(graph_state_vector(g), index[a], "Z", 1)
-    vec, p2 = project_measure(vec, index[b], "Z", 1)
-    expected = failed_graph.with_vertex(a).with_vertex(b)
-    frame = {a: "H", b: "H"}
-    if not equal_up_to_global_phase(vec, _framed_graph_vector(expected, frame)):
-        return False, f"failure state mismatch fusing {a},{b}"
-    return True, f"fuse({a},{b}) failure: double Z projection agrees"
+        return False, f"{branch}: branch probability {prob} is not 1/2"
+    if overlap < 1 - OVERLAP_TOL:
+        return False, f"{branch}: state mismatch"
+    if outcome == "S":
+        return True, f"{branch}: merge map agrees, p=1/2"
+    return True, f"{branch}: double Z projection agrees"
 
 
 def check_fusion(**_) -> CheckReport:
@@ -316,20 +443,20 @@ def check_fusion(**_) -> CheckReport:
                     iso is not None,
                 )
             )
-            ok, detail = _fusion_success_agrees(g, a, b)
+            ok, detail = _fusion_agrees(g, a, b, "S")
             lines.append(CheckLine(f"chains {n}+{m}: oracle success branch", ok, detail))
-            ok, detail = _fusion_failure_agrees(g, a, b)
+            ok, detail = _fusion_agrees(g, a, b, "F")
             lines.append(CheckLine(f"chains {n}+{m}: oracle failure branch", ok, detail))
 
     x = build_double_box(chain(7)).graph
     y = build_double_box(chain(7, start=8)).graph
     pair = merge_disjoint(x, y)
-    ok, detail = _fusion_success_agrees(pair, 2, 8)
+    ok, detail = _fusion_agrees(pair, 2, 8, "S")
     lines.append(CheckLine("double-box corners (degree 2): success branch", ok, detail))
-    ok, detail = _fusion_failure_agrees(pair, 2, 8)
+    ok, detail = _fusion_agrees(pair, 2, 8, "F")
     lines.append(CheckLine("double-box corners (degree 2): failure branch", ok, detail))
     joined, outcome, _ = type1_fuse(pair, 2, 8, forced="S", allow_nonleaf=True)
-    ok, detail = _fusion_success_agrees(joined, 7, 13)
+    ok, detail = _fusion_agrees(joined, 7, 13, "S")
     lines.append(CheckLine("second corner pair after one merge: success branch", ok, detail))
     return CheckReport("fusion", tuple(lines))
 
@@ -345,37 +472,22 @@ def check_ring(**_) -> CheckReport:
             f"frame={success.frame}",
         )
     )
+    # The closing fusion and the relabel to 1..8 leave the 8-ring; what
+    # follows must be local Cliffords and label swaps only, and replaying
+    # it from ring(8) proves the local equivalence.
+    rewrite = success.trace[2:]
+    local = bool(rewrite) and all(step["op"] == "tableau_rewrite" for step in rewrite)
     lines.append(
         CheckLine(
             "success output is locally equivalent to the 8-ring",
-            bool(lc_equivalent(success.graph, ring(8), up_to_isomorphism=True)),
+            local and replay_tableau(replace(success, initial=ring(8), trace=rewrite)),
         )
     )
-
-    # Replay the whole pipeline on the statevector: fuse, then the
-    # Hadamards; label moves are bookkeeping and cost nothing physical.
-    vec, prob = merge_qubits(graph_state_vector(chain(9)), 0, 8)
-    ok = abs(prob - 0.5) <= OVERLAP_TOL
-    # Post-merge qubit order is chain vertices 2..8 then the merged one
-    # in slot 0; the recipe relabels that ring to 1..8, so its qubit q
-    # maps from recipe vertex q+1 via the ring relabeling.
-    relabel = {0: 7}
-    relabel.update({i: i - 1 for i in range(1, 8)})
-    amp = vec.amplitudes.reshape([2] * 8)
-    perm = [0] * 8
-    for src, dst in relabel.items():
-        # amplitudes index axes as qubit (n-1) first; map via axis arithmetic
-        perm[7 - dst] = 7 - src
-    amp = np.transpose(amp, axes=perm).reshape(-1)
-    vec = StateVector(8, amp)
-    for v in (1, 4, 5, 8):
-        vec = apply_unitary(vec, matrix("H"), (v - 1,))
-    swapped = success.graph.relabel({1: 5, 5: 1, 4: 8, 8: 4})
-    ov = overlap_with_graph_state(vec, swapped)
+    prob, ov = replay_oracle(success)
     lines.append(
         CheckLine(
             "oracle: fused ring + Hadamards equals the extracted graph",
-            ok and ov >= 1 - OVERLAP_TOL,
+            abs(prob - 0.5) <= OVERLAP_TOL and ov >= 1 - OVERLAP_TOL,
             f"p={prob:.3f}, overlap={ov:.12f}",
         )
     )

@@ -187,14 +187,6 @@ class GraphState:
             comps.append(frozenset(comp))
         return comps
 
-    def subgraph(self, vs: Iterable[int]) -> "GraphState":
-        keep = frozenset(vs)
-        self._require(*keep)
-        return GraphState._trusted(
-            keep,
-            frozenset(e for e in self.edges if e[0] in keep and e[1] in keep),
-        )
-
 
 # -- constructors ---------------------------------------------------------
 
@@ -456,6 +448,8 @@ def frame_from_doc(g: GraphState, doc: Mapping[str, str]) -> dict[int, str]:
     every label one of the 24 Clifford labels."""
     from . import cliffords
 
+    if not isinstance(doc, Mapping):
+        raise ValueError("frame must be a JSON object")
     frame: dict[int, str] = {}
     for key, label in doc.items():
         v = int(key)

@@ -809,6 +809,14 @@ def result_from_doc(doc: dict) -> RecipeResult:
     return result
 
 
+def _relabel_mapping(step: Mapping) -> dict[int, int]:
+    """A relabel step's mapping, stored as a JSON object keyed by vertex."""
+    mapping = step["mapping"]
+    if not isinstance(mapping, dict):
+        raise ValueError("relabel mapping must be a JSON object")
+    return {int(k): v for k, v in mapping.items()}
+
+
 def replay(doc: dict | str) -> RecipeResult:
     """Re-execute a serialized trace against its recorded starting graph.
 
@@ -836,7 +844,7 @@ def replay(doc: dict | str) -> RecipeResult:
         elif op == "merge":
             b.merge_step(graph_from_doc(step))
         elif op == "relabel":
-            b.relabel({int(k): v for k, v in step["mapping"].items()})
+            b.relabel(_relabel_mapping(step))
         elif op == "drop_isolated":
             b.drop_isolated()
         elif op == "tableau_rewrite":

@@ -1,18 +1,25 @@
 """Verification suites: every bundled check must pass, and the report
 objects must render faithfully."""
 
+from dataclasses import replace
+
 import pytest
 
+from clusterforge import checks
 from clusterforge.checks import (
+    OVERLAP_TOL,
     SUITE_NAMES,
     CheckLine,
     CheckReport,
     measurement_agreement,
     random_graph,
+    replay_oracle,
+    replay_tableau,
     run_suite,
 )
 from clusterforge.fusion import RngStream
 from clusterforge.graphstate import chain, star
+from clusterforge.recipes import nodeless_rung
 
 
 def test_suite_names_are_registered():
@@ -88,3 +95,33 @@ def test_measurement_agreement_reports():
     for basis in ("Z", "Y"):
         for v in (1, 2, 4):
             assert measurement_agreement(random_graph(6, RngStream(v)), v, basis)[0]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda r: {"graph": r.graph.with_edges_toggled([(1, 4)])},
+        lambda r: {"frame": {**r.frame, 2: "H"}},
+    ],
+    ids=["edge-toggled", "frame-label-edited"],
+)
+def test_replayers_reject_an_edited_result(edit):
+    res = nodeless_rung(chain(5), 3)
+    assert res.frame == {2: "S", 4: "S"}
+    assert replay_tableau(res) and replay_oracle(res)[1] >= 1 - OVERLAP_TOL
+    edited = replace(res, **edit(res))
+    assert not replay_tableau(edited)
+    assert replay_oracle(edited)[1] < 1 - OVERLAP_TOL
+
+
+def test_ring_suite_fails_on_a_wrong_ring_graph(monkeypatch):
+    build = checks.build_ring8
+
+    def toggled(g, forced=None):
+        res = build(g, forced=forced)
+        return replace(res, graph=res.graph.with_edges_toggled([(1, 2)])) if forced == "S" else res
+
+    monkeypatch.setattr(checks, "build_ring8", toggled)
+    verdicts = {line.name: line.passed for line in run_suite("ring")[0].lines}
+    assert not verdicts["success output is locally equivalent to the 8-ring"]
+    assert not verdicts["oracle: fused ring + Hadamards equals the extracted graph"]

@@ -281,6 +281,24 @@ def test_edited_ledger_exits_1_with_one_line(tmp_path):
         assert r.stderr == f"{verb}: stored ledger does not match its trace\n".encode(), verb
 
 
+def test_non_object_frame_or_relabel_mapping_exits_1_with_one_line(tmp_path):
+    h = json.loads(run_cli("build", "H", "--chains", "6,6", "--seed", "3").stdout)
+    h["frame"] = 3
+    ring = json.loads(run_cli("build", "ring8", "--chain", "9", "--force", "S").stdout)
+    relabel = next(step for step in ring["trace"] if step["op"] == "relabel")
+    relabel["mapping"] = list(relabel["mapping"].values())
+    cases = [
+        ("export", h, "frame must be a JSON object"),
+        ("replay", h, "frame must be a JSON object"),
+        ("replay", ring, "relabel mapping must be a JSON object"),
+    ]
+    for verb, doc, message in cases:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        r = run_cli(verb, str(path))
+        assert (r.returncode, r.stdout, r.stderr) == (1, b"", f"{verb}: {message}\n".encode())
+
+
 def test_seeded_runs_are_byte_identical():
     pairs = [
         ("mc", "ours", "--trials", "3000", "--seed", "11"),

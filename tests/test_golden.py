@@ -23,7 +23,8 @@ from pathlib import Path
 import pytest
 
 from clusterforge import cli
-from clusterforge.recipes import replay, result_from_doc, result_to_json
+from clusterforge.recipes import result_from_doc, result_to_json
+from conftest import assert_replays_exactly
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -99,14 +100,16 @@ def test_golden_output(name, tmp_path, monkeypatch):
 
 
 def test_golden_builds_decode_and_replay():
-    """Every stored build decodes (its ledger is its trace's sum) and replays byte for byte."""
+    """Every stored build decodes (its ledger is its trace's sum), replays
+    byte for byte, and replays as physics on the tableau, and on the
+    oracle when its pre-merged state has at most 14 qubits."""
     builds = sorted(GOLDEN.glob("build-*.out"))
     assert builds
     for path in builds:
         text = path.read_text(encoding="utf-8")
-        doc = json.loads(text)
-        assert result_to_json(result_from_doc(doc)) + "\n" == text, path.name
-        assert result_to_json(replay(doc)) + "\n" == text, path.name
+        result = result_from_doc(json.loads(text))
+        assert result_to_json(result) + "\n" == text, path.name
+        assert_replays_exactly(result)
 
 
 def test_corpus_has_no_stray_files():

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from clusterforge.checks import random_graph
 from clusterforge.cliffords import MAT
+from clusterforge.fusion import RngStream
 from clusterforge.graphstate import GraphState, chain, star
 from clusterforge.oracle import (
     ORACLE_QUBIT_LIMIT,
@@ -154,6 +156,23 @@ def test_merge_matches_chain_join():
     merged, p = merge_qubits(both, 1, 2)
     assert abs(p - 0.5) < 1e-12
     assert equal_up_to_global_phase(merged, graph_state_vector(chain(3)))
+
+
+def test_merge_qubits_is_cnot_then_z_projection():
+    """The merge map equals CNOT(a->b), Z=+1 on b, then dropping b: the
+    fusion model of the trace replay."""
+    cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+    for case in range(30):
+        rng = RngStream(case)
+        n = 2 + case % 7
+        vec = graph_state_vector(random_graph(n, rng))
+        a, b = rng.next_u64() % n, rng.next_u64() % (n - 1)
+        b += b >= a
+        merged, p = merge_qubits(vec, a, b)
+        projected, q = project_measure(apply_unitary(vec, cnot, (a, b)), b, "Z", 1)
+        dropped = np.take(projected.amplitudes.reshape([2] * n), 0, axis=n - 1 - b)
+        assert p == pytest.approx(q)
+        assert equal_up_to_global_phase(merged, StateVector(n - 1, dropped.reshape(-1)))
 
 
 def test_equal_up_to_global_phase():
