@@ -49,7 +49,6 @@ __all__ = [
     "run_suite",
     "random_graph",
     "measurement_agreement",
-    "overlap_with_graph_state",
     "replay_tableau",
     "replay_oracle",
 ]
@@ -92,21 +91,15 @@ class CheckReport:
         }
 
 
-def random_graph(n: int, rng: RngStream, edge_probability: float = 0.5) -> GraphState:
+def random_graph(n: int, rng: RngStream) -> GraphState:
     """Random graph on vertices 1..n, each possible edge tossed once."""
     vertices = frozenset(range(1, n + 1))
     edges = set()
     for u in range(1, n + 1):
         for v in range(u + 1, n + 1):
-            if rng.next_bool(edge_probability):
+            if rng.next_bool():
                 edges.add((u, v))
     return GraphState(vertices, frozenset(edges))
-
-
-def overlap_with_graph_state(vec, g: GraphState) -> float:
-    """|<graph state of g | vec>|; both must share one qubit ordering."""
-    target = graph_state_vector(g)
-    return float(abs(np.vdot(target.amplitudes, vec.amplitudes)))
 
 
 # -- physics replay: one walk over a trace, two engines -----------------------

@@ -25,7 +25,6 @@ __all__ = [
     "compose",
     "inverse",
     "compose_labels",
-    "invert_label",
     "matrix",
     "MAT",
 ]
@@ -125,10 +124,6 @@ def inverse(op: CliffordOp) -> CliffordOp:
 
 def compose_labels(outer: str, inner: str) -> str:
     return compose(BY_LABEL[outer], BY_LABEL[inner]).label
-
-
-def invert_label(label: str) -> str:
-    return inverse(BY_LABEL[label]).label
 
 
 MAT = {

@@ -90,7 +90,11 @@ class CostLedger(NamedTuple):
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "CostLedger":
-        return cls(*(int(doc[name]) for name in cls._fields))
+        """Decode a stored ledger; every count must be a JSON integer."""
+        counts = [doc[name] for name in cls._fields]
+        if any(type(c) is not int for c in counts):
+            raise ValueError("ledger counts must be JSON integers")
+        return cls(*counts)
 
 
 def step_cost(step: Mapping) -> CostLedger:
@@ -121,7 +125,6 @@ class FusionOutcome:
 
     success: bool
     merged: int | None = None
-    removed: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.success and self.merged is None:
@@ -135,7 +138,7 @@ def type1_fuse(
     a: int,
     b: int,
     rng: RngStream | None = None,
-    forced: str | bool | None = None,
+    forced: str | None = None,
     *,
     allow_nonleaf: bool = False,
 ) -> tuple[GraphState, FusionOutcome, CostLedger]:
@@ -148,7 +151,7 @@ def type1_fuse(
     combined degree in bonds.
 
     One draw is taken from ``rng`` per attempt even when ``forced``
-    ('S'/'F' or a bool) decides the branch, so forced and stochastic
+    ('S' or 'F') decides the branch, so forced and stochastic
     traces stay aligned.  Targets must be distinct, non-adjacent, and
     leaves (degree <= 1) unless ``allow_nonleaf`` opts into the
     generalized rule, which is oracle-validated in the test suite.
@@ -169,8 +172,6 @@ def type1_fuse(
         if drawn is None:
             raise ValueError("fusion needs an rng or a forced outcome")
         success = drawn
-    elif isinstance(forced, bool):
-        success = forced
     elif forced in ("S", "F"):
         success = forced == "S"
     else:
@@ -188,12 +189,12 @@ def type1_fuse(
                 (min(merged, u), max(merged, u)) for u in new_nbrs
             ),
         )
-        outcome = FusionOutcome(True, merged=merged, removed=(a, b))
+        outcome = FusionOutcome(True, merged=merged)
         bonds = 0
     else:
         bonds = g.degree(a) + g.degree(b)
         out = g.without_vertex(a).without_vertex(b)
-        outcome = FusionOutcome(False, removed=(a, b))
+        outcome = FusionOutcome(False)
     step = {"op": "fuse", "outcome": "S" if success else "F", "bonds": bonds}
     return out, outcome, step_cost(step)
 

@@ -40,7 +40,6 @@ __all__ = [
     "frame_to_doc",
     "frame_from_doc",
     "to_json_doc",
-    "from_json_doc",
     "to_dot",
     "OrbitLimitError",
 ]
@@ -147,9 +146,6 @@ class GraphState:
             self.vertices - {v},
             frozenset(e for e in self.edges if v not in e),
         )
-
-    def with_vertex(self, v: int) -> "GraphState":
-        return GraphState._trusted(self.vertices | {v}, self.edges)
 
     def with_edge(self, u: int, v: int) -> "GraphState":
         self._require(u, v)
@@ -385,10 +381,9 @@ def isomorphic(g1: GraphState, g2: GraphState) -> dict[int, int] | None:
     return dict(mapping) if extend(0) else None
 
 
-def path_vertices(g: GraphState, start: int | None = None) -> list[int]:
-    """Vertex order of a path graph, walking from one endpoint.
+def path_vertices(g: GraphState) -> list[int]:
+    """Vertex order of a path graph, walking from its smaller-id endpoint.
 
-    ``start`` selects the endpoint; default is the smaller-id endpoint.
     Raises if g is not a single path.
     """
     if g.n == 0:
@@ -398,13 +393,9 @@ def path_vertices(g: GraphState, start: int | None = None) -> list[int]:
     ends = sorted(v for v in g.vertices if g.degree(v) == 1)
     if len(ends) != 2 or any(g.degree(v) > 2 for v in g.vertices):
         raise ValueError("graph is not a path")
-    if start is None:
-        start = ends[0]
-    elif start not in ends:
-        raise ValueError(f"vertex {start} is not a path endpoint")
-    order = [start]
+    order = [ends[0]]
     prev = None
-    cur = start
+    cur = ends[0]
     while len(order) < g.n:
         nxt = [u for u in g.neighbors(cur) if u != prev]
         if len(nxt) != 1:
@@ -427,11 +418,19 @@ def graph_to_doc(g: GraphState) -> dict:
     }
 
 
+def _vertex_id(v) -> int:
+    # A float or bool would hash like an int but print differently.
+    if type(v) is not int:
+        raise ValueError(f"vertex ids must be JSON integers, got {v!r}")
+    return v
+
+
 def graph_from_doc(doc: Mapping) -> GraphState:
-    """Inverse of :func:`graph_to_doc`; dangling edges and self loops raise."""
+    """Inverse of :func:`graph_to_doc`; non-integer vertex ids, dangling
+    edges and self loops raise."""
     return GraphState(
-        frozenset(doc["vertices"]),
-        frozenset((u, v) for u, v in doc["edges"]),
+        frozenset(map(_vertex_id, doc["vertices"])),
+        frozenset((_vertex_id(u), _vertex_id(v)) for u, v in doc["edges"]),
     )
 
 
@@ -469,12 +468,6 @@ def to_json_doc(g: GraphState, frame: Mapping[int, str] | None = None) -> str:
     doc = graph_to_doc(g)
     doc["frame"] = frame_to_doc(g, frame or {})
     return json.dumps(doc, separators=(",", ":"))
-
-
-def from_json_doc(text: str) -> tuple[GraphState, dict[int, str]]:
-    doc = json.loads(text)
-    g = graph_from_doc(doc)
-    return g, frame_from_doc(g, doc.get("frame", {}))
 
 
 def to_dot(g: GraphState) -> str:

@@ -174,16 +174,6 @@ class TrialStats:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-    def to_table(self) -> str:
-        rows = [
-            ("trials", f"{self.trials}"),
-            ("mean_cost", f"{self.mean_cost:.6f}"),
-            ("variance", f"{self.variance:.6f}"),
-            ("mean_attempts", f"{self.mean_attempts:.6f}"),
-        ]
-        width = max(len(name) for name, _ in rows)
-        return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
-
     def histogram_csv(self) -> str:
         lines = ["attempts,count"]
         lines.extend(f"{k},{v}" for k, v in sorted(self.attempt_histogram.items()))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cliffords import MAT
 from .graphstate import GraphState
 
 __all__ = [
@@ -19,13 +20,10 @@ __all__ = [
     "ORACLE_QUBIT_LIMIT",
     "OracleLimitError",
     "graph_state_vector",
-    "plus_state",
     "apply_unitary",
     "project_measure",
     "merge_qubits",
     "equal_up_to_global_phase",
-    "amplitudes_csv",
-    "PAULI_MATS",
 ]
 
 ORACLE_QUBIT_LIMIT = 14
@@ -35,13 +33,6 @@ _PROB_FLOOR = 1e-12
 
 class OracleLimitError(ValueError):
     """Raised when a request exceeds the dense-simulation cap."""
-
-
-PAULI_MATS = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 @dataclass(frozen=True)
@@ -67,14 +58,6 @@ class StateVector:
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-
-def plus_state(n: int) -> StateVector:
-    if n > ORACLE_QUBIT_LIMIT:
-        raise OracleLimitError(
-            f"oracle size limit: {n} qubits exceeds {ORACLE_QUBIT_LIMIT}"
-        )
-    return StateVector(n, np.full(2**n, 2 ** (-n / 2), dtype=complex))
 
 
 def graph_state_vector(g: GraphState) -> StateVector:
@@ -144,11 +127,11 @@ def project_measure(
     stays in place, collapsed) and the branch probability.  A branch
     with probability below 1e-12 is an error.
     """
-    if basis not in PAULI_MATS:
+    if basis not in ("X", "Y", "Z"):
         raise ValueError(f"unknown measurement basis: {basis!r}")
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    flipped = apply_unitary(v, PAULI_MATS[basis], (qubit,))
+    flipped = apply_unitary(v, MAT[basis], (qubit,))
     proj = (v.amplitudes + outcome * flipped.amplitudes) / 2.0
     prob = float(np.vdot(proj, proj).real)
     if prob < _PROB_FLOOR:
@@ -195,12 +178,3 @@ def equal_up_to_global_phase(
         return False
     overlap = abs(np.vdot(v1.amplitudes, v2.amplitudes))
     return bool(overlap >= 1.0 - tol)
-
-
-def amplitudes_csv(v: StateVector) -> str:
-    """Amplitude table as CSV, for eyeballing small states."""
-    lines = ["index,bitstring,re,im"]
-    for i, a in enumerate(v.amplitudes):
-        bits = format(i, f"0{v.n}b")[::-1]  # qubit 0 first
-        lines.append(f"{i},{bits},{a.real:.12g},{a.imag:.12g}")
-    return "\n".join(lines) + "\n"

@@ -109,7 +109,7 @@ class RecipeResult:
 def parse_schedule(forced) -> list[str]:
     """Normalize a forced-outcome schedule to a list of 'S'/'F' tokens.
 
-    Accepts None, an iterable of 'S'/'F'/bools, or a compact string like
+    Accepts None, an iterable of 'S'/'F', or a compact string like
     "S", "F,S", or "F*3,S" of at most :data:`MAX_SCHEDULE_TOKENS` tokens.
     """
     if forced is None:
@@ -132,13 +132,9 @@ def parse_schedule(forced) -> list[str]:
         for sym, count in runs:
             out.extend([sym] * count)
         return out
-    out = []
-    for item in forced:
-        if isinstance(item, bool):
-            out.append("S" if item else "F")
-        elif item in ("S", "F"):
-            out.append(item)
-        else:
+    out = list(forced)
+    for item in out:
+        if item not in ("S", "F"):
             raise ValueError(f"bad forced-outcome entry: {item!r}")
     return out
 
@@ -817,15 +813,13 @@ def _relabel_mapping(step: Mapping) -> dict[int, int]:
     return {int(k): v for k, v in mapping.items()}
 
 
-def replay(doc: dict | str) -> RecipeResult:
+def replay(doc: dict) -> RecipeResult:
     """Re-execute a serialized trace against its recorded starting graph.
 
     Fusions take the recorded outcomes in trace order without consuming
     randomness, and every step must re-record exactly as stored, so the
     reconstruction is bit-exact.  The stored ledger is not read.
     """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
     trace = doc["trace"]
     b = _Builder(
         graph_from_doc(doc["initial"]),
@@ -840,6 +834,8 @@ def replay(doc: dict | str) -> RecipeResult:
         elif op == "measure_y":
             b.ymeas(step["vertex"])
         elif op == "fuse":
+            if type(step["allow_nonleaf"]) is not bool:
+                raise ValueError("fuse step allow_nonleaf must be a JSON boolean")
             b.fuse(step["a"], step["b"], allow_nonleaf=step["allow_nonleaf"])
         elif op == "merge":
             b.merge_step(graph_from_doc(step))

@@ -10,14 +10,18 @@ cancel out here.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 from hypothesis import settings
 
 from clusterforge.checks import OVERLAP_TOL, replay_oracle, replay_tableau
 from clusterforge.oracle import OracleLimitError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -29,6 +33,7 @@ def run_cli(
     """Invoke the CLI in a subprocess; output stays as bytes on purpose."""
     env = os.environ.copy()
     env.pop("CLUSTERFORGE_SEED", None)
+    env["PYTHONPATH"] = str(SRC)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -63,4 +68,5 @@ def assert_replays_exactly(result) -> None:
         assert_oracle_replay(result)
     except OracleLimitError:
         pass
-    assert result_to_json(replay(result_to_json(result))) == result_to_json(result)
+    text = result_to_json(result)
+    assert result_to_json(replay(json.loads(text))) == text

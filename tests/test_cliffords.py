@@ -14,7 +14,6 @@ from clusterforge.cliffords import (
     compose,
     compose_labels,
     inverse,
-    invert_label,
     matrix,
 )
 
@@ -77,7 +76,7 @@ def test_compose_order_is_outer_inner():
     assert compose_labels("H", "S") == "HS"
     assert compose_labels("S", "H") == "SH"
     assert compose_labels("H", "H") == "I"
-    assert compose_labels("S", "SS") == invert_label("S")
+    assert compose_labels("S", "SS") == inverse(BY_LABEL["S"]).label
 
 
 def test_inverses():
@@ -85,9 +84,9 @@ def test_inverses():
         inv = inverse(op)
         assert compose(op, inv) == IDENTITY
         assert compose(inv, op) == IDENTITY
-    assert invert_label("H") == "H"
-    assert invert_label("SS") == "SS"
-    assert invert_label("HS") == "HSHS"
+    assert inverse(BY_LABEL["H"]).label == "H"
+    assert inverse(BY_LABEL["SS"]).label == "SS"
+    assert inverse(BY_LABEL["HS"]).label == "HSHS"
 
 
 def test_identity_is_neutral():

@@ -113,7 +113,6 @@ def two_chains():
 def test_fusion_success_merges_leaves():
     g, outcome, delta = type1_fuse(two_chains(), 3, 4, forced="S")
     assert outcome.success and outcome.merged == 7
-    assert outcome.removed == (3, 4)
     assert g.sorted_edges() == [(1, 2), (2, 7), (5, 6), (5, 7)]
     assert delta == CostLedger(qubits_consumed=1, fusion_attempts=1, fusion_successes=1)
 
@@ -125,12 +124,10 @@ def test_fusion_failure_cuts_both_ends():
     assert delta == CostLedger(bonds_consumed=2, qubits_consumed=2, fusion_attempts=1)
 
 
-def test_fusion_forced_accepts_bools():
-    g_true, _, _ = type1_fuse(two_chains(), 3, 4, forced=True)
-    g_s, _, _ = type1_fuse(two_chains(), 3, 4, forced="S")
-    assert g_true == g_s
-    with pytest.raises(ValueError, match="forced outcome must be 'S' or 'F'"):
-        type1_fuse(two_chains(), 3, 4, forced="X")
+def test_fusion_forced_outcome_is_s_or_f():
+    for forced in ("X", True, False):
+        with pytest.raises(ValueError, match="forced outcome must be 'S' or 'F'"):
+            type1_fuse(two_chains(), 3, 4, forced=forced)
 
 
 def test_fusion_needs_entropy_or_force():
@@ -184,8 +181,8 @@ def test_fusion_nonleaf_rule():
 def test_fusion_success_neighborhood_is_symmetric_difference():
     # overlapping neighborhoods cancel: both stars share no vertices here,
     # but a shared neighbor after relabeling would drop out
-    g = GraphState([1, 2, 3, 4], [(1, 2), (1, 3), (1, 4)])
-    out, outcome, _ = type1_fuse(g.with_vertex(9), 9, 2, forced="S")
+    g = GraphState([1, 2, 3, 4, 9], [(1, 2), (1, 3), (1, 4)])
+    out, outcome, _ = type1_fuse(g, 9, 2, forced="S")
     assert out.neighbors(outcome.merged) == {1}
 
 

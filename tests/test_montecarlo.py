@@ -1,8 +1,10 @@
 """Cost model, closed forms, and the trial harness."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,9 +144,6 @@ def test_stats_renderings():
     doc = json.loads(s.to_json())
     assert set(doc) == {"trials", "mean_cost", "variance", "mean_attempts", "attempt_histogram"}
     assert sum(doc["attempt_histogram"].values()) == 50
-    table = s.to_table()
-    assert table.splitlines()[0].startswith("trials")
-    assert "mean_cost" in table and f"{s.mean_cost:.6f}" in table
     csv = s.histogram_csv()
     lines = csv.splitlines()
     assert lines[0] == "attempts,count"
@@ -244,8 +243,15 @@ def test_chi2_sf_edges():
 
 
 def test_import_leaves_scipy_out():
-    code = "import sys, clusterforge; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    # The CLI module imports every other module of the package.
+    code = "import sys, clusterforge.cli; print('scipy' in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
 

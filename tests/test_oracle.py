@@ -11,16 +11,19 @@ from clusterforge.oracle import (
     ORACLE_QUBIT_LIMIT,
     OracleLimitError,
     StateVector,
-    amplitudes_csv,
     apply_unitary,
     equal_up_to_global_phase,
     graph_state_vector,
     merge_qubits,
-    plus_state,
     project_measure,
 )
 
 INV_SQRT2 = 2**-0.5
+
+
+def plus(n: int) -> StateVector:
+    """|+>^n: the graph state of the edgeless graph on n vertices."""
+    return graph_state_vector(GraphState(range(n)))
 
 
 def test_statevector_validates():
@@ -29,14 +32,10 @@ def test_statevector_validates():
     with pytest.raises(ValueError, match="shape"):
         StateVector(2, np.array([1.0, 0.0]))
     with pytest.raises(OracleLimitError, match="oracle size limit"):
-        plus_state(ORACLE_QUBIT_LIMIT + 1)
-    v = plus_state(1)
+        StateVector(ORACLE_QUBIT_LIMIT + 1, np.zeros(1))
+    v = plus(1)
     with pytest.raises(ValueError):
         v.amplitudes[0] = 9.0  # amplitudes are read-only
-
-
-def test_plus_state_amplitudes():
-    assert np.allclose(plus_state(2).amplitudes, [0.5, 0.5, 0.5, 0.5])
 
 
 def test_graph_state_signs():
@@ -80,7 +79,7 @@ def test_apply_unitary_two_qubit_order():
 
 
 def test_apply_unitary_rejects_junk():
-    v = plus_state(2)
+    v = plus(2)
     with pytest.raises(ValueError, match="not unitary"):
         apply_unitary(v, np.ones((2, 2)), (0,))
     with pytest.raises(ValueError, match="duplicate qubit"):
@@ -93,12 +92,12 @@ def test_apply_unitary_rejects_junk():
 
 def test_cz_on_plus_gives_graph_state():
     cz = np.diag([1, 1, 1, -1]).astype(complex)
-    got = apply_unitary(plus_state(2), cz, (0, 1))
+    got = apply_unitary(plus(2), cz, (0, 1))
     assert equal_up_to_global_phase(got, graph_state_vector(chain(2)))
 
 
 def test_project_measure_probabilities():
-    v = plus_state(1)
+    v = plus(1)
     vz, p = project_measure(v, 0, "Z", +1)
     assert abs(p - 0.5) < 1e-12
     assert np.allclose(vz.amplitudes, [1, 0])
@@ -114,7 +113,7 @@ def test_project_measure_probabilities():
 
 
 def test_project_measure_y():
-    vy, p = project_measure(plus_state(1), 0, "Y", +1)
+    vy, p = project_measure(plus(1), 0, "Y", +1)
     assert abs(p - 0.5) < 1e-12
     plus_i = StateVector(1, np.array([INV_SQRT2, 1j * INV_SQRT2]))
     assert equal_up_to_global_phase(vy, plus_i)
@@ -131,7 +130,7 @@ def test_z_measurement_on_graph_state_cuts_edges():
 
 
 def test_merge_qubits_plus_states():
-    out, p = merge_qubits(plus_state(2), 0, 1)
+    out, p = merge_qubits(plus(2), 0, 1)
     assert abs(p - 0.5) < 1e-12
     assert np.allclose(out.amplitudes, [INV_SQRT2, INV_SQRT2])
 
@@ -146,7 +145,7 @@ def test_merge_qubits_slot_bookkeeping():
     with pytest.raises(ValueError, match="vanishing probability"):
         merge_qubits(v, 0, 1)
     with pytest.raises(ValueError, match="itself"):
-        merge_qubits(plus_state(2), 1, 1)
+        merge_qubits(plus(2), 1, 1)
 
 
 def test_merge_matches_chain_join():
@@ -180,10 +179,5 @@ def test_equal_up_to_global_phase():
     w = StateVector(3, v.amplitudes * np.exp(0.7j))
     assert equal_up_to_global_phase(v, w)
     assert not equal_up_to_global_phase(v, graph_state_vector(chain(3)))
-    assert not equal_up_to_global_phase(v, plus_state(2))
+    assert not equal_up_to_global_phase(v, plus(2))
 
-
-def test_amplitudes_csv():
-    text = amplitudes_csv(StateVector(1, np.array([1, 0], dtype=complex)))
-    assert text == "index,bitstring,re,im\n0,0,1,0\n1,1,0,0\n"
-    assert amplitudes_csv(plus_state(2)).splitlines()[3] == "2,01,0.5,0"
