@@ -32,11 +32,10 @@ from .graphstate import (
     ring,
     star,
 )
-from .oracle import apply_unitary, graph_state_vector, project_measure
+from .oracle import ORACLE_QUBIT_LIMIT, apply_unitary, graph_state_vector, project_measure
 from .recipes import (
     RecipeResult,
     _Builder,
-    _relabel_mapping,
     build_cross,
     build_double_box,
     build_ring8,
@@ -229,8 +228,7 @@ def _walk(result: RecipeResult, engine_cls) -> tuple[float, bool | float | None]
         elif op == "merge":
             pass  # tensored in up front
         elif op == "relabel":
-            mapping = _relabel_mapping(step)
-            names = [mapping.get(v, v) for v in names]
+            names = [step["mapping"].get(str(v), v) for v in names]
         elif op == "drop_isolated":
             for v in step["vertices"]:
                 consume(slot(v), "I")
@@ -501,6 +499,8 @@ def check_triple_agreement(*, n: int = 8, cases: int = 100, seed: int = 7, **_) 
     """Randomized measurement agreement across the three engines."""
     if n < 2:
         raise ValueError("need at least two vertices")
+    if n > ORACLE_QUBIT_LIMIT:
+        raise ValueError(f"oracle size limit: {n} qubits exceeds {ORACLE_QUBIT_LIMIT}")
     if cases < 1:
         raise ValueError("need at least one case")
     rng = RngStream(seed)

@@ -263,9 +263,6 @@ def cmd_export(args) -> int:
             payload = to_dot(result.graph)
         else:
             payload = to_json_doc(result.graph, result.frame) + "\n"
-    except (KeyError, TypeError) as exc:
-        print(f"export: invalid recipe document: missing or bad field {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"export: {exc}", file=sys.stderr)
         return 1
@@ -284,9 +281,6 @@ def cmd_replay(args) -> int:
         doc = _load_doc(args.input)
         replayed = result_to_json(replay(doc))
         recorded = result_to_json(result_from_doc(doc))
-    except (KeyError, TypeError) as exc:
-        print(f"replay: invalid recipe document: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"replay: {exc}", file=sys.stderr)
         return 1

@@ -88,14 +88,6 @@ class CostLedger(NamedTuple):
     def to_dict(self) -> dict[str, int]:
         return self._asdict()
 
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "CostLedger":
-        """Decode a stored ledger; every count must be a JSON integer."""
-        counts = [doc[name] for name in cls._fields]
-        if any(type(c) is not int for c in counts):
-            raise ValueError("ledger counts must be JSON integers")
-        return cls(*counts)
-
 
 def step_cost(step: Mapping) -> CostLedger:
     """Ledger delta of one trace step.

@@ -203,8 +203,19 @@ class _Accumulator:
         )
 
 
-# A tiny p would otherwise keep run_trials drawing without visible end.
+# Runs expecting more draws are refused: a tiny p or a huge trial count
+# would otherwise keep a run drawing without visible end.
 MAX_EXPECTED_DRAWS = 10**7
+
+
+def _check_draws(n_trials: int, p: float) -> None:
+    if n_trials < 1:
+        raise ValueError("need at least one trial")
+    if n_trials / p > MAX_EXPECTED_DRAWS:
+        raise ValueError(
+            f"{n_trials} trials at p={p:g} expect {n_trials / p:.3g} draws, "
+            f"more than {MAX_EXPECTED_DRAWS:.0e}"
+        )
 
 
 def run_trials(model: CostModel, n_trials: int, seed: int) -> TrialStats:
@@ -215,14 +226,8 @@ def run_trials(model: CostModel, n_trials: int, seed: int) -> TrialStats:
     merge to the same stats.  Inputs expecting more than
     ``MAX_EXPECTED_DRAWS`` draws are rejected.
     """
-    if n_trials < 1:
-        raise ValueError("need at least one trial")
     p = model.success_probability
-    if n_trials / p > MAX_EXPECTED_DRAWS:
-        raise ValueError(
-            f"{n_trials} trials at p={p:g} expect {n_trials / p:.3g} draws, "
-            f"more than {MAX_EXPECTED_DRAWS:.0e}"
-        )
+    _check_draws(n_trials, p)
     root = RngStream(seed)
     acc = _Accumulator()
     for i in range(n_trials):
@@ -250,8 +255,7 @@ def run_recipe_trials(
     whether or not the pair is then swapped out, so the concatenation
     samples exactly the unlimited-chain process.
     """
-    if n_trials < 1:
-        raise ValueError("need at least one trial")
+    _check_draws(n_trials, PRESETS["ours"].success_probability)
     if chain_length < 4:
         # Shorter chains cannot host an L, so no attempt would ever run.
         raise ValueError(f"chain length must be at least 4, got {chain_length}")

@@ -270,6 +270,7 @@ class _Builder:
         """
         if self.frame:
             raise ValueError("tableau rewrite requires an empty frame")
+        self.graph._require(*hadamards, *(v for pair in swaps for v in pair))
         order = self.graph.sorted_vertices()
         index = {v: i for i, v in enumerate(order)}
         t = tb.from_graph(self.graph)
@@ -789,28 +790,82 @@ def result_to_json(result: RecipeResult) -> str:
     return json.dumps(result_to_doc(result), sort_keys=True, separators=(",", ":"))
 
 
+# The stored document in one table.  A type is a (test, error) leaf, {str: t}
+# for an object from decimal vertex ids to t, _TRACE_OPS for a list of trace
+# steps, or a dict for an object holding those keys.  Integers must be JSON
+# integers: a float or bool hashes and compares like an int but prints differently.
+_INT = (lambda v: type(v) is int, " must be a JSON integer")
+_STR = (lambda v: type(v) is str, " must be a JSON string")
+_OBJECT = (lambda v: type(v) is dict, " must be a JSON object")
+_IDS = (lambda v: type(v) is list and all(type(x) is int for x in v), ": vertex ids must be JSON integers")
+_PAIRS = (lambda v: type(v) is list and all(_IDS[0](p) and len(p) == 2 for p in v), _IDS[1] + ", in pairs")
+_GRAPH = {"vertices": _IDS, "edges": _PAIRS}
+
+# Trace op -> (its fields and their types, the _Builder call replay makes).
+_TRACE_OPS = {
+    "box": ({"segment": _IDS}, lambda b, s: b.box(tuple(s["segment"]))),
+    "measure_z": ({"vertex": _INT, "bonds": _INT}, lambda b, s: b.zmeas(s["vertex"])),
+    "measure_y": ({"vertex": _INT, "bonds": _INT}, lambda b, s: b.ymeas(s["vertex"])),
+    "fuse": ({"a": _INT, "b": _INT, "outcome": (lambda v: v in ("S", "F"), " must be 'S' or 'F'"),
+              "merged": (lambda v: v is None or type(v) is int, " must be a JSON integer or null"),
+              "bonds": _INT, "allow_nonleaf": (lambda v: type(v) is bool, " must be a JSON boolean")},
+             lambda b, s: b.fuse(s["a"], s["b"], allow_nonleaf=s["allow_nonleaf"])),
+    "merge": (_GRAPH, lambda b, s: b.merge_step(graph_from_doc(s))),
+    "relabel": ({"mapping": {str: _INT}},
+                lambda b, s: b.relabel({int(k): v for k, v in s["mapping"].items()})),
+    "drop_isolated": ({"vertices": _IDS}, lambda b, s: b.drop_isolated()),
+    "tableau_rewrite": ({"hadamards": _IDS, "swaps": _PAIRS},
+                        lambda b, s: b.tableau_rewrite(s["hadamards"], s["swaps"])),
+}
+
+# The seven keys result_to_doc writes, each with its type.
+_DOCUMENT = {"name": _STR, "graph": _GRAPH, "frame": {str: _STR}, "trace": _TRACE_OPS,
+             "ledger": dict.fromkeys(CostLedger._fields, _INT), "initial": _GRAPH,
+             "annotations": _OBJECT}
+
+
+def _check(value, spec, where: str = "") -> None:
+    """Raise ValueError, naming the field, unless value has type spec."""
+    if type(spec) is tuple:
+        if not spec[0](value):
+            raise ValueError(where + spec[1])
+    elif spec is _TRACE_OPS:
+        if type(value) is not list or any(type(step) is not dict for step in value):
+            raise ValueError(f"{where} must be a list of JSON objects")
+        for step in value:
+            op = step.get("op")
+            if type(op) is not str or op not in _TRACE_OPS:
+                raise ValueError(f"unknown trace op: {op!r}")
+            _check(step, _TRACE_OPS[op][0], op)
+    elif str in spec:
+        _check(value, _OBJECT, where)
+        for key, item in value.items():
+            _check(key, (str.isdecimal, " keys must be decimal vertex ids"), where)
+            _check(item, spec[str], f"{where} values")
+    else:
+        _check(value, _OBJECT, where or "recipe document")
+        for key, item in spec.items():
+            name = f"{where} {key}".lstrip()
+            if key not in value:
+                raise ValueError(f"invalid recipe document: missing {name}")
+            _check(value[key], item, name)
+
+
 def result_from_doc(doc: dict) -> RecipeResult:
     """Decode a stored result; its ledger must be its trace's sum."""
+    _check(doc, _DOCUMENT)
     graph = graph_from_doc(doc["graph"])
     result = RecipeResult(
         name=doc["name"],
         graph=graph,
-        frame=frame_from_doc(graph, doc.get("frame", {})),
+        frame=frame_from_doc(graph, doc["frame"]),
         trace=tuple(dict(step) for step in doc["trace"]),
         initial=graph_from_doc(doc["initial"]),
-        annotations=doc.get("annotations", {}),
+        annotations=doc["annotations"],
     )
-    if CostLedger.from_dict(doc["ledger"]) != result.ledger:
+    if doc["ledger"] != result.ledger.to_dict():
         raise ValueError("stored ledger does not match its trace")
     return result
-
-
-def _relabel_mapping(step: Mapping) -> dict[int, int]:
-    """A relabel step's mapping, stored as a JSON object keyed by vertex."""
-    mapping = step["mapping"]
-    if not isinstance(mapping, dict):
-        raise ValueError("relabel mapping must be a JSON object")
-    return {int(k): v for k, v in mapping.items()}
 
 
 def replay(doc: dict) -> RecipeResult:
@@ -818,37 +873,16 @@ def replay(doc: dict) -> RecipeResult:
 
     Fusions take the recorded outcomes in trace order without consuming
     randomness, and every step must re-record exactly as stored, so the
-    reconstruction is bit-exact.  The stored ledger is not read.
+    reconstruction is bit-exact; the stored ledger is only type-checked.
     """
+    _check(doc, _DOCUMENT)
     trace = doc["trace"]
     b = _Builder(
         graph_from_doc(doc["initial"]),
         forced=[step["outcome"] for step in trace if step["op"] == "fuse"],
     )
     for step in trace:
-        op = step["op"]
-        if op == "box":
-            b.box(tuple(step["segment"]))
-        elif op == "measure_z":
-            b.zmeas(step["vertex"])
-        elif op == "measure_y":
-            b.ymeas(step["vertex"])
-        elif op == "fuse":
-            if type(step["allow_nonleaf"]) is not bool:
-                raise ValueError("fuse step allow_nonleaf must be a JSON boolean")
-            b.fuse(step["a"], step["b"], allow_nonleaf=step["allow_nonleaf"])
-        elif op == "merge":
-            b.merge_step(graph_from_doc(step))
-        elif op == "relabel":
-            b.relabel(_relabel_mapping(step))
-        elif op == "drop_isolated":
-            b.drop_isolated()
-        elif op == "tableau_rewrite":
-            b.tableau_rewrite(
-                step["hadamards"], [tuple(p) for p in step["swaps"]]
-            )
-        else:
-            raise ValueError(f"unknown trace op: {op!r}")
+        _TRACE_OPS[step["op"]][1](b, step)
         if b.trace[-1] != step:
-            raise ValueError(f"trace does not replay: {op} step mismatch")
-    return b.finish(doc["name"], doc.get("annotations", {}))
+            raise ValueError(f"trace does not replay: {step['op']} step mismatch")
+    return b.finish(doc["name"], doc["annotations"])

@@ -365,6 +365,18 @@ def test_mc_unbounded_or_non_finite_inputs_exit_1_with_one_line():
         assert r.stderr.count(b"\n") == 1 and needle in r.stderr, (args, r.stderr)
 
 
+def test_oversized_verify_or_graph_level_run_is_refused_before_any_work():
+    cases = [
+        (("verify", "triple-agreement", "--n", "2000"), b"qubits exceeds 14", 5),
+        (("mc", "ours", "--graph-level", "--trials", "100000000"), b"draws", 10),
+    ]
+    for args, needle, timeout in cases:
+        r = run_cli(*args, timeout=timeout)
+        assert r.returncode == 1, args
+        assert r.stdout == b"", args
+        assert r.stderr.count(b"\n") == 1 and needle in r.stderr, (args, r.stderr)
+
+
 def test_build_ladder_negative_rungs_exit_1():
     r = run_cli("build", "ladder", "--chains", "8,8", "--rungs", "-1", "--force", "S")
     assert r.returncode == 1

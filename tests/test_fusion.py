@@ -73,7 +73,7 @@ def test_ledger_addition_and_dict_round_trip():
     b = CostLedger(10, 20, 30, 40)
     assert a + b == CostLedger(11, 22, 33, 44)
     assert CostLedger() + a == a
-    assert CostLedger.from_dict(a.to_dict()) == a
+    assert CostLedger(**a.to_dict()) == a
 
 
 @given(st.lists(st.tuples(*[st.integers(0, 50)] * 4), max_size=6))

@@ -170,6 +170,8 @@ def test_run_trials_rejects_unbounded_draw_counts():
     with pytest.raises(ValueError, match="draws"):
         run_trials(OURS, MAX_EXPECTED_DRAWS // 2 + 1, 0)
     assert run_trials(CostModel(success_probability=1e-3), 10, 0).trials == 10
+    with pytest.raises(ValueError, match="draws"):
+        run_recipe_trials(MAX_EXPECTED_DRAWS, 0)
 
 
 def test_run_trials_histogram_determines_sums():

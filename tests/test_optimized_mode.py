@@ -1,4 +1,5 @@
-"""Invariant checks must survive ``python -O``, which strips ``assert``."""
+"""Source guards: invariant checks must survive ``python -O``, which strips
+``assert``, and the CLI must not hide decoding bugs behind broad handlers."""
 
 from __future__ import annotations
 
@@ -19,6 +20,23 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == [], "use `raise AssertionError(msg)` instead of assert: " + ", ".join(found)
+
+
+def test_export_and_replay_catch_only_value_error():
+    # Stored documents are checked to raise only ValueError; catching
+    # KeyError or TypeError as well would turn a missed check into exit 1.
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    verbs = [f for f in tree.body if isinstance(f, ast.FunctionDef)
+             and f.name in ("cmd_export", "cmd_replay")]
+    assert len(verbs) == 2
+    broad = [
+        f"{fn.name}:{node.lineno}"
+        for fn in verbs
+        for node in ast.walk(fn)
+        if isinstance(node, ast.ExceptHandler)
+        and not (isinstance(node.type, ast.Name) and node.type.id == "ValueError")
+    ]
+    assert broad == [], "handlers other than ValueError: " + ", ".join(broad)
 
 
 def test_to_graph_self_check_runs_under_dash_o():

@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterforge import cli
+from clusterforge import cli, recipes
+from clusterforge.recipes import replay, result_from_doc
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BUILDS = [p.read_text(encoding="utf-8") for p in sorted(GOLDEN.glob("build-*.out"))]
@@ -37,6 +40,10 @@ def workdir(tmp_path_factory):
 
 
 # -- field types the decoders used to coerce -------------------------------------
+
+
+def _step(doc, op):
+    return next(step for step in doc["trace"] if step["op"] == op)
 
 
 def _float_vertices(doc):
@@ -61,22 +68,117 @@ def _string_allow_nonleaf(doc):
             step["allow_nonleaf"] = "x"
 
 
+def _float_measured_vertex(doc):
+    # 3.0 hashes and compares like 3, so every rewrite would accept it.
+    _step(doc, "measure_z")["vertex"] += 0.0
+
+
+def _float_segment_entry(doc):
+    _step(doc, "box")["segment"][2] += 0.0
+
+
+def _float_fuse_target(doc):
+    _step(doc, "fuse")["a"] += 0.0
+
+
+def _float_hadamard(doc):
+    _step(doc, "tableau_rewrite")["hadamards"][1] += 0.0
+
+
+def _float_swap(doc):
+    _step(doc, "tableau_rewrite")["swaps"][0][1] += 0.0
+
+
+def _three_vertex_swap(doc):
+    _step(doc, "tableau_rewrite")["swaps"][0].append(2)
+
+
+def _integer_name(doc):
+    doc["name"] = 5
+
+
+def _list_annotations(doc):
+    doc["annotations"] = [1]
+
+
+def _list_step(doc):
+    doc["trace"][0] = list(doc["trace"][0].items())
+
+
+def _string_trace(doc):
+    doc["trace"] = "box"
+
+
+def _object_trace(doc):
+    doc["trace"] = {str(i): step for i, step in enumerate(doc["trace"])}
+
+
+# (build, edit, the field the one stderr line names)
+MISTYPED = [
+    ("H-seeded", _float_vertices, "graph vertices"),
+    ("H-seeded", _float_edge_end, "graph edges"),
+    ("H-seeded", _float_ledger_count, "ledger fusion_attempts"),
+    ("H-seeded", _string_ledger_count, "ledger bonds_consumed"),
+    ("H-seeded", _string_allow_nonleaf, "fuse allow_nonleaf"),
+    ("H-seeded", _float_measured_vertex, "measure_z vertex"),
+    ("H-seeded", _float_segment_entry, "box segment"),
+    ("H-seeded", _float_fuse_target, "fuse a"),
+    ("ring8-forced-S", _float_hadamard, "tableau_rewrite hadamards"),
+    ("ring8-forced-S", _float_swap, "tableau_rewrite swaps"),
+    ("ring8-forced-S", _three_vertex_swap, "tableau_rewrite swaps"),
+    ("H-seeded", _integer_name, "name"),
+    ("H-seeded", _list_annotations, "annotations"),
+    ("H-seeded", _list_step, "trace"),
+    ("H-seeded", _string_trace, "trace"),
+    ("H-seeded", _object_trace, "trace"),
+]
+
+
 @pytest.mark.parametrize(
-    "verb, edit",
+    "verb, build, edit, field",
     [
-        (verb, edit)
-        for edit in (_float_vertices, _float_edge_end, _float_ledger_count, _string_ledger_count)
+        pytest.param(verb, build, edit, field, id=f"{verb}-{edit.__name__.lstrip('_')}")
+        for build, edit, field in MISTYPED
         for verb in ("export", "replay")
-    ]
-    + [("replay", _string_allow_nonleaf)],
-    ids=lambda v: v if isinstance(v, str) else v.__name__.lstrip("_"),
+    ],
 )
-def test_mistyped_field_exits_1_with_one_line(verb, edit, tmp_path):
-    doc = json.loads((GOLDEN / "build-H-seeded.out").read_text(encoding="utf-8"))
+def test_mistyped_field_exits_1_with_one_line(verb, build, edit, field, tmp_path):
+    doc = json.loads((GOLDEN / f"build-{build}.out").read_text(encoding="utf-8"))
     edit(doc)
     code, err = run(verb, doc, tmp_path / "edited.json")
     assert code == 1
     assert len(err.splitlines()) == 1, err
+    assert re.match(f"{verb}: {field}( must|:) ", err), err
+
+
+GRAPH_IDS = [
+    {"vertices": [1.0, 2.0], "edges": [[1, 2]]},
+    {"vertices": [1, 2], "edges": [[1.0, 2]]},
+    {"vertices": [True, 2], "edges": [[1, 2]]},
+    {"vertices": [1, 2], "edges": [[1, False]]},
+    {"vertices": ["1"], "edges": []},
+]
+
+
+@pytest.mark.parametrize("graph", GRAPH_IDS, ids=[f"doc{i}" for i in range(len(GRAPH_IDS))])
+def test_stored_graphs_require_integer_vertex_ids(graph):
+    # 1.0 and True hash like 1, so the graph would decode but print
+    # vertex names its edges do not use.
+    h = json.loads((GOLDEN / "build-H-seeded.out").read_text(encoding="utf-8"))
+    ladder = json.loads((GOLDEN / "build-ladder-forced.out").read_text(encoding="utf-8"))
+    _step(ladder, "merge").update(graph)
+    docs = [{**h, "graph": graph}, {**h, "initial": graph}, ladder]
+    for doc, decode in itertools.product(docs, (result_from_doc, replay)):
+        with pytest.raises(ValueError, match="vertex ids must be JSON integers"):
+            decode(doc)
+
+
+def test_the_document_table_names_every_stored_field():
+    for text in BUILDS:
+        doc = json.loads(text)
+        assert set(doc) == set(recipes._DOCUMENT)
+        for step in doc["trace"]:
+            assert set(step) == {"op", *recipes._TRACE_OPS[step["op"]][0]}
 
 
 # -- one-node edits of every golden build ------------------------------------------
@@ -124,6 +226,11 @@ def _edited(i: int, path: tuple, value):
 def test_one_node_edit_exits_0_or_1_with_at_most_one_line(edit, workdir):
     (i, path), value = edit
     doc = _edited(i, path, value)
+    for decode in (result_from_doc, replay):
+        try:
+            decode(doc)
+        except ValueError:
+            pass
     for verb in ("export", "replay"):
         code, err = run(verb, doc, workdir / "edited.json")
         assert code in (0, 1), (verb, path, value)
