@@ -254,6 +254,8 @@ def _load_doc(path: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"parse error: line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise ValueError("parse error: JSON nested too deeply") from None
 
 
 def cmd_export(args) -> int:

@@ -169,23 +169,16 @@ def type1_fuse(
     else:
         raise ValueError(f"forced outcome must be 'S' or 'F', got {forced!r}")
 
+    na, nb = g.neighbors(a), g.neighbors(b)
+    cut = [(a, u) for u in na] + [(b, u) for u in nb]
     if success:
         merged = max(g.vertices) + 1
-        new_nbrs = g.neighbors(a) ^ g.neighbors(b)
-        out = GraphState._trusted(
-            (g.vertices - {a, b}) | {merged},
-            frozenset(
-                e for e in g.edges if a not in e and b not in e
-            )
-            | frozenset(
-                (min(merged, u), max(merged, u)) for u in new_nbrs
-            ),
-        )
+        out = g._rewired(cut + [(merged, u) for u in na ^ nb], add=merged, drop=(a, b))
         outcome = FusionOutcome(True, merged=merged)
         bonds = 0
     else:
-        bonds = g.degree(a) + g.degree(b)
-        out = g.without_vertex(a).without_vertex(b)
+        bonds = len(cut)
+        out = g._rewired(cut, drop=(a, b))
         outcome = FusionOutcome(False)
     step = {"op": "fuse", "outcome": "S" if success else "F", "bonds": bonds}
     return out, outcome, step_cost(step)
@@ -198,4 +191,6 @@ def merge_disjoint(ga: GraphState, gb: GraphState) -> GraphState:
         raise ValueError(
             f"vertex sets overlap: {sorted(overlap)}; relabel one side first"
         )
-    return GraphState._trusted(ga.vertices | gb.vertices, ga.edges | gb.edges)
+    return GraphState._trusted(
+        ga.vertices | gb.vertices, ga.edges | gb.edges, {**ga._adj, **gb._adj}
+    )

@@ -17,7 +17,7 @@ tuples with u < v.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -76,17 +76,19 @@ class GraphState:
 
     @classmethod
     def _trusted(
-        cls, vertices: frozenset[int], edges: frozenset[tuple[int, int]]
+        cls, vertices: frozenset[int], edges: frozenset[tuple[int, int]], adj: dict | None = None
     ) -> "GraphState":
         """Skip re-validation for sets that are canonical by construction.
 
-        Internal fast path for rewrite loops; both arguments must
-        already be normalized frozensets with every edge endpoint
-        present in ``vertices``.
+        Internal fast path for rewrite loops; both sets must already be
+        normalized frozensets with every edge endpoint present in
+        ``vertices``, and ``adj``, when given, their neighbour map.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
+        if adj is not None:
+            object.__setattr__(self, "_adj", adj)
         return self
 
     # -- queries ---------------------------------------------------------
@@ -109,6 +111,28 @@ class GraphState:
             nbrs[v].append(u)
         return {v: frozenset(ns) for v, ns in nbrs.items()}
 
+    @cached_property
+    def _path(self) -> tuple[int, ...]:
+        if self.n == 0:
+            raise ValueError("empty graph is not a path")
+        if self.n == 1:
+            return tuple(self.vertices)
+        ends = sorted(v for v in self.vertices if self.degree(v) == 1)
+        if len(ends) != 2 or any(self.degree(v) > 2 for v in self.vertices):
+            raise ValueError("graph is not a path")
+        order = [ends[0]]
+        prev = None
+        cur = ends[0]
+        while len(order) < self.n:
+            nxt = [u for u in self.neighbors(cur) if u != prev]
+            if len(nxt) != 1:
+                raise ValueError("graph is not a path")
+            prev, cur = cur, nxt[0]
+            order.append(cur)
+        if len(set(order)) != self.n:
+            raise ValueError("graph is not a path")
+        return tuple(order)
+
     def neighbors(self, v: int) -> frozenset[int]:
         self._require(v)
         return self._adj[v]
@@ -129,23 +153,50 @@ class GraphState:
 
     # -- pure structural edits (no cost semantics) -----------------------
 
+    def _rewired(
+        self, pairs: Iterable[tuple[int, int]], *, add: int | None = None, drop: Iterable[int] = ()
+    ) -> "GraphState":
+        """Toggle the edge of every pair, after adding the vertex ``add`` and
+        before removing the vertices ``drop``, which the pairs must leave
+        isolated.
+
+        The one place a rewrite changes edges: the edge set and the
+        neighbour map change only at the vertices the pairs touch, so the
+        graph is never walked in Python.  Callers check the pairs: distinct
+        edges, each joining two vertices of the graph or ``add``.
+        """
+        adj = self._adj.copy()
+        vertices = self.vertices
+        if add is not None:
+            adj[add] = frozenset()
+            vertices = vertices | {add}
+        flipped: set[tuple[int, int]] = set()
+        touched: defaultdict[int, list[int]] = defaultdict(list)
+        for u, v in pairs:
+            flipped.add((u, v) if u < v else (v, u))
+            touched[u].append(v)
+            touched[v].append(u)
+        if drop:
+            for v in drop:
+                del adj[v]
+                touched.pop(v, None)
+            vertices = vertices.difference(drop)
+        for u, ns in touched.items():
+            adj[u] = adj[u].symmetric_difference(ns)
+        # A difference copies the edge set once; ^ re-inserts every edge.
+        edges = self.edges ^ flipped if flipped - self.edges else self.edges - flipped
+        return GraphState._trusted(vertices, edges, adj)
+
     def with_edges_toggled(self, pairs: Iterable[tuple[int, int]]) -> "GraphState":
-        edges = set(self.edges)
+        flipped: set[tuple[int, int]] = set()
         for u, v in pairs:
             self._require(u, v)
-            e = _norm_edge(u, v)
-            if e in edges:
-                edges.remove(e)
-            else:
-                edges.add(e)
-        return GraphState._trusted(self.vertices, frozenset(edges))
+            flipped ^= {_norm_edge(u, v)}
+        return self._rewired(flipped)
 
     def without_vertex(self, v: int) -> "GraphState":
         self._require(v)
-        return GraphState._trusted(
-            self.vertices - {v},
-            frozenset(e for e in self.edges if v not in e),
-        )
+        return self._rewired([(v, u) for u in self._adj[v]], drop=(v,))
 
     def with_edge(self, u: int, v: int) -> "GraphState":
         self._require(u, v)
@@ -283,15 +334,8 @@ def chain_to_box(g: GraphState, segment: tuple[int, int, int, int]) -> GraphStat
         )
     if g.has_edge(q1, q4) or g.has_edge(q1, q3) or g.has_edge(q2, q4):
         raise ValueError("invalid box segment: chord present")
-    edges = set(g.edges)
-    edges -= {_norm_edge(q1, q2), _norm_edge(q2, q3), _norm_edge(q3, q4)}
-    edges |= {
-        _norm_edge(q1, q3),
-        _norm_edge(q2, q3),
-        _norm_edge(q2, q4),
-        _norm_edge(q1, q4),
-    }
-    return GraphState._trusted(g.vertices, frozenset(edges))
+    # q2-q3 stays; the other two path bonds go and three new ones come.
+    return g._rewired([(q1, q2), (q3, q4), (q1, q3), (q2, q4), (q1, q4)])
 
 
 # -- equivalence checks ---------------------------------------------------
@@ -384,27 +428,10 @@ def isomorphic(g1: GraphState, g2: GraphState) -> dict[int, int] | None:
 def path_vertices(g: GraphState) -> list[int]:
     """Vertex order of a path graph, walking from its smaller-id endpoint.
 
-    Raises if g is not a single path.
+    Raises if g is not a single path.  The walk is made once per graph;
+    each call returns a fresh list the caller may change.
     """
-    if g.n == 0:
-        raise ValueError("empty graph is not a path")
-    if g.n == 1:
-        return list(g.vertices)
-    ends = sorted(v for v in g.vertices if g.degree(v) == 1)
-    if len(ends) != 2 or any(g.degree(v) > 2 for v in g.vertices):
-        raise ValueError("graph is not a path")
-    order = [ends[0]]
-    prev = None
-    cur = ends[0]
-    while len(order) < g.n:
-        nxt = [u for u in g.neighbors(cur) if u != prev]
-        if len(nxt) != 1:
-            raise ValueError("graph is not a path")
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-    if len(set(order)) != g.n:
-        raise ValueError("graph is not a path")
-    return order
+    return list(g._path)
 
 
 # -- serialization --------------------------------------------------------

@@ -799,7 +799,9 @@ _STR = (lambda v: type(v) is str, " must be a JSON string")
 _OBJECT = (lambda v: type(v) is dict, " must be a JSON object")
 _IDS = (lambda v: type(v) is list and all(type(x) is int for x in v), ": vertex ids must be JSON integers")
 _PAIRS = (lambda v: type(v) is list and all(_IDS[0](p) and len(p) == 2 for p in v), _IDS[1] + ", in pairs")
-_GRAPH = {"vertices": _IDS, "edges": _PAIRS}
+_GRAPH = {"vertices": (lambda v: _IDS[0](v) and len(set(v)) == len(v), _IDS[1] + ", each listed once"),
+          "edges": (lambda v: _PAIRS[0](v) and len({(min(p), max(p)) for p in v}) == len(v),
+                    _PAIRS[1] + ", each edge listed once")}
 
 # Trace op -> (its fields and their types, the _Builder call replay makes).
 _TRACE_OPS = {

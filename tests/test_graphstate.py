@@ -3,9 +3,10 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed
 from hypothesis import strategies as st
 
+from clusterforge.fusion import merge_disjoint, type1_fuse
 from clusterforge.graphstate import (
     GraphState,
     OrbitLimitError,
@@ -205,6 +206,85 @@ def test_path_vertices():
         path_vertices(GraphState([1, 2, 3], [(1, 2)]))  # disconnected
     with pytest.raises(ValueError, match="empty graph"):
         path_vertices(GraphState())
+
+
+# -- the neighbour map rewrites carry ------------------------------------------
+
+
+def _box_segments(g):
+    """Every 4-vertex chain segment chain_to_box accepts, in a fixed order."""
+    segments = []
+    for q2 in g.sorted_vertices():
+        for q3 in sorted(g.neighbors(q2)):
+            if g.degree(q2) != 2 or g.degree(q3) != 2:
+                continue
+            (q1,) = g.neighbors(q2) - {q3}
+            (q4,) = g.neighbors(q3) - {q2}
+            if len({q1, q2, q3, q4}) == 4 and not (
+                g.has_edge(q1, q4) or g.has_edge(q1, q3) or g.has_edge(q2, q4)
+            ):
+                segments.append((q1, q2, q3, q4))
+    return segments
+
+
+def _fusion_pairs(g, leaves_only):
+    return [
+        (a, b)
+        for a in g.sorted_vertices()
+        for b in g.sorted_vertices()
+        if a < b and not g.has_edge(a, b)
+        and (not leaves_only or (g.degree(a) <= 1 and g.degree(b) <= 1))
+    ]
+
+
+def _rewrite(g, op, i, j):
+    """Apply rewrite ``op`` to g, with i and j choosing where; None if it has no target."""
+    verts = g.sorted_vertices()
+    if op == "merge":
+        return merge_disjoint(g, chain(1 + i % 5, start=max(verts, default=0) + 1))
+    if not verts:
+        return None
+    v = verts[i % len(verts)]
+    if op == "lc":
+        return local_complement(g, v)
+    if op == "z":
+        return measure_z(g, v)
+    if op == "y":
+        return measure_y(g, v)
+    if op == "relabel":
+        return g.relabel({u: u + max(verts) + j for u in verts[i % len(verts) :]})
+    targets = _box_segments(g) if op == "box" else _fusion_pairs(g, op == "fuse")
+    if not targets:
+        return None
+    if op == "box":
+        return chain_to_box(g, targets[i % len(targets)])
+    a, b = targets[i % len(targets)]
+    return type1_fuse(g, a, b, forced="SF"[j % 2], allow_nonleaf=op == "fuse_nonleaf")[0]
+
+
+REWRITES = st.tuples(
+    st.sampled_from(["lc", "z", "y", "box", "fuse", "fuse_nonleaf", "merge", "relabel"]),
+    st.integers(min_value=0, max_value=50),
+    st.integers(min_value=1, max_value=3),
+)
+
+
+@seed(9)
+@given(
+    st.integers(min_value=4, max_value=9),
+    st.integers(min_value=4, max_value=9),
+    st.lists(REWRITES, max_size=14),
+)
+def test_rewrites_carry_the_neighbour_map_exactly(n1, n2, program):
+    first = chain(n1)
+    walked = path_vertices(first)
+    walked.remove(walked[1])
+    assert path_vertices(first) == list(range(1, n1 + 1))
+    g = merge_disjoint(first, chain(n2, start=n1 + 1))
+    for op, i, j in program:
+        g = _rewrite(g, op, i, j) or g
+        assert g._adj == GraphState(g.vertices, g.edges)._adj, op
+        assert all(u < v for u, v in g.edges), op
 
 
 # -- serialization -----------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_replays_exactly, assert_tableau_replay
 from clusterforge.fusion import CostLedger, RngStream
+from clusterforge.montecarlo import run_recipe_trials
 from clusterforge.graphstate import (
     GraphState,
     chain,
@@ -301,6 +302,30 @@ def test_ladder_exhausts_when_failures_reach_the_last_rung():
     assert partial.annotations["rails"][1] == [29, 30, 33]
     assert partial.annotations["cursors"] == [2, 2]
     assert trace_ledger(partial.trace) == partial.ledger
+
+
+def test_rewrites_build_no_neighbour_map_from_scratch(monkeypatch):
+    """Only graphs made outside a rewrite, here the input chains, build
+    their neighbour map from the edge set; every rewrite patches its
+    parent's, so the count stays flat as trials and rungs grow."""
+    builds = []
+    build = GraphState._adj.func
+    monkeypatch.setattr(GraphState._adj, "func", lambda g: builds.append(g) or build(g))
+
+    def count(run) -> int:
+        builds.clear()
+        run()
+        return len(builds)
+
+    def ladder(rungs: int) -> None:
+        n = 3 * rungs + 10
+        h = build_h_shape(chain(n), chain(n, start=n + 1), forced="S")
+        grow_ladder(h, [], rungs, forced=["S"] * rungs)
+
+    assert count(lambda: run_recipe_trials(20, 0, chain_length=16)) == 2
+    assert count(lambda: run_recipe_trials(200, 0, chain_length=16)) == 2
+    assert count(lambda: ladder(3)) == 2
+    assert count(lambda: ladder(30)) == 2
 
 
 def test_depth_growth_frozen():

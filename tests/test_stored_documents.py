@@ -173,6 +173,46 @@ def test_stored_graphs_require_integer_vertex_ids(graph):
             decode(doc)
 
 
+DUPLICATED = [
+    {"vertices": [1, 2, 1], "edges": [[1, 2]]},
+    {"vertices": [1, 2, 3], "edges": [[1, 2], [1, 2]]},
+    {"vertices": [1, 2, 3], "edges": [[1, 2], [2, 3], [2, 1]]},
+]
+
+
+@pytest.mark.parametrize("graph", DUPLICATED, ids=[f"doc{i}" for i in range(len(DUPLICATED))])
+def test_stored_graphs_list_each_vertex_and_edge_once(graph):
+    # A set would collapse the repeat and print a graph unlike the file.
+    h = json.loads((GOLDEN / "build-H-seeded.out").read_text(encoding="utf-8"))
+    ladder = json.loads((GOLDEN / "build-ladder-forced.out").read_text(encoding="utf-8"))
+    _step(ladder, "merge").update(graph)
+    docs = [{**h, "graph": graph}, {**h, "initial": graph}, ladder]
+    for doc, decode in itertools.product(docs, (result_from_doc, replay)):
+        with pytest.raises(ValueError, match="listed once"):
+            decode(doc)
+
+
+@pytest.mark.parametrize("verb", ["export", "replay"])
+@pytest.mark.parametrize("key", ["graph", "initial"])
+def test_repeated_vertex_exits_1_naming_the_field(verb, key, tmp_path):
+    doc = json.loads((GOLDEN / "build-H-seeded.out").read_text(encoding="utf-8"))
+    doc[key]["vertices"].append(doc[key]["vertices"][0])
+    code, err = run(verb, doc, tmp_path / "edited.json")
+    assert code == 1
+    assert err.startswith(f"{verb}: {key} vertices: ") and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("verb", ["export", "replay"])
+def test_deeply_nested_json_exits_1_with_one_line(verb, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([verb, str(path)])
+    assert code == 1
+    assert err.getvalue() == f"{verb}: parse error: JSON nested too deeply\n"
+
+
 def test_the_document_table_names_every_stored_field():
     for text in BUILDS:
         doc = json.loads(text)
@@ -194,9 +234,19 @@ def _paths(node, path=()):
             yield from _paths(child, path + (i,))
 
 
-NODES = [(i, path) for i, text in enumerate(BUILDS) for path in _paths(json.loads(text))]
+def _at(node, path: tuple):
+    for step in path:
+        node = node[step]
+    return node
+
+
+DOCS = [json.loads(text) for text in BUILDS]
+NODES = [(i, path) for i, doc in enumerate(DOCS) for path in _paths(doc)]
 KEYS = [(i, path) for i, path in NODES if path and isinstance(path[-1], str)]
+LISTS = [(i, path) for i, path in NODES if isinstance(_at(DOCS[i], path), list) and _at(DOCS[i], path)]
 DELETE = object()
+# Appends a repeat of the list's first entry, a pair reversed as [v, u].
+REPEAT = object()
 OTHER_TYPES = [None, True, False, 0, 1, 2.5, "", "S", [], [1, 2], {}, {"op": "box"}]
 EXTREME_INTS = [-1, -(2**63), 2**64, 10**100]
 
@@ -204,6 +254,7 @@ EDITS = st.one_of(
     st.tuples(st.sampled_from(NODES), st.sampled_from(OTHER_TYPES)),
     st.tuples(st.sampled_from(KEYS), st.just(DELETE)),
     st.tuples(st.sampled_from(NODES), st.sampled_from(EXTREME_INTS)),
+    st.tuples(st.sampled_from(LISTS), st.just(REPEAT)),
 )
 
 
@@ -211,11 +262,12 @@ def _edited(i: int, path: tuple, value):
     doc = json.loads(BUILDS[i])
     if not path:
         return value
-    parent = doc
-    for step in path[:-1]:
-        parent = parent[step]
+    parent = _at(doc, path[:-1])
     if value is DELETE:
         del parent[path[-1]]
+    elif value is REPEAT:
+        first = parent[path[-1]][0]
+        parent[path[-1]].append(first[::-1] if isinstance(first, list) else first)
     else:
         parent[path[-1]] = value
     return doc
