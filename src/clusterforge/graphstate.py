@@ -154,7 +154,7 @@ class GraphState:
     # -- pure structural edits (no cost semantics) -----------------------
 
     def _rewired(
-        self, pairs: Iterable[tuple[int, int]], *, add: int | None = None, drop: Iterable[int] = ()
+        self, pairs: Iterable[tuple[int, int]], *, add: int | None = None, drop: tuple = ()
     ) -> "GraphState":
         """Toggle the edge of every pair, after adding the vertex ``add`` and
         before removing the vertices ``drop``, which the pairs must leave
