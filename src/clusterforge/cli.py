@@ -16,7 +16,9 @@ byte-identical output across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -218,14 +220,19 @@ def cmd_mc(args) -> int:
             stats = montecarlo.run_recipe_trials(args.trials, args.seed)
         else:
             stats = montecarlo.run_trials(model, args.trials, args.seed)
+        closed = {
+            "mean_cost": montecarlo.closed_form_expected_cost(model),
+            "variance": montecarlo.closed_form_cost_variance(model),
+            "mean_attempts": montecarlo.closed_form_expected_attempts(model),
+        }
+        if not all(map(math.isfinite, [stats.mean_cost, stats.variance, *closed.values()])):
+            raise OverflowError
+    except OverflowError:
+        print("mc: cost moments overflow a float; lower --lcost or --fail", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"mc: {exc}", file=sys.stderr)
         return 1
-    closed = {
-        "mean_cost": montecarlo.closed_form_expected_cost(model),
-        "variance": montecarlo.closed_form_cost_variance(model),
-        "mean_attempts": montecarlo.closed_form_expected_attempts(model),
-    }
     if args.csv:
         sys.stdout.write(stats.histogram_csv())
         return 0
@@ -293,10 +300,11 @@ def cmd_replay(args) -> int:
     return 0
 
 
+@functools.cache
 def _make_parser() -> _Parser:
     parser = _Parser(prog="clusterforge", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
-    seed_kw = dict(type=int, default=_default_seed(), help="rng seed (default: $CLUSTERFORGE_SEED or 0)")
+    seed_kw = dict(type=int, help="rng seed (default: $CLUSTERFORGE_SEED or 0)")
 
     b = sub.add_parser("build", help="run a construction recipe, print RecipeResult JSON")
     b.add_argument(
@@ -345,8 +353,11 @@ def _make_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
+    # The seed default is read per call, so the one cached parser never
+    # freezes $CLUSTERFORGE_SEED.
+    if getattr(args, "seed", 0) is None:
+        args.seed = _default_seed()
     return args.func(args)
 
 

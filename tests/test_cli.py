@@ -4,8 +4,12 @@ Exit code contract: 0 success, 1 usage or verification failure, 2
 resource exhaustion.  Seeded invocations must be byte-identical across
 runs, so every comparison here works on raw stdout bytes."""
 
+import argparse
+import contextlib
+import io
 import json
 
+from clusterforge import cli
 from conftest import run_cli
 
 
@@ -340,6 +344,76 @@ def test_seed_env_variable():
     assert flag_wins.stdout == run_cli("build", "H", "--chains", "8,8", "--seed", "3").stdout
 
 
+
+# -- one parser per process -------------------------------------------------------
+#
+# ``cli.main`` parses every call with one cached parser, so nothing a call
+# reads from the environment may be frozen into that parser.
+
+
+def call_main(argv) -> tuple[int, str, str]:
+    """One in-process ``cli.main`` call: exit code, stdout, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+H88 = ("build", "H", "--chains", "8,8")
+
+
+def test_seed_env_variable_is_read_on_every_call(monkeypatch):
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    by_flag = {seed: call_main((*H88, "--seed", seed)) for seed in ("0", "1", "3")}
+    assert len(set(by_flag.values())) == 3
+    call_main(H88)  # the parser now exists, built with the variable unset
+    for seed in ("3", "1", "0", "junk", "3"):
+        monkeypatch.setenv(cli.ENV_SEED, seed)
+        assert call_main(H88) == by_flag["0" if seed == "junk" else seed], seed
+    monkeypatch.delenv(cli.ENV_SEED)
+    assert call_main(H88) == by_flag["0"]
+
+
+def test_usage_error_and_help_leave_the_next_call_unchanged(monkeypatch):
+    monkeypatch.setenv(cli.ENV_SEED, "3")
+    cli._make_parser.cache_clear()
+    first = call_main(H88)
+    for argv, code in ((("build", "nope"), 1), (("mc", "--help"), 0), (("--help",), 0)):
+        cli._make_parser.cache_clear()
+        monkeypatch.delenv(cli.ENV_SEED)
+        made_first = call_main(argv)
+        assert made_first[0] == code and (made_first[1] or made_first[2]), argv
+        assert call_main(argv) == made_first, argv
+        monkeypatch.setenv(cli.ENV_SEED, "3")
+        assert call_main(H88) == first, argv
+
+
+def test_every_verb_shares_one_parser(monkeypatch, tmp_path):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        cli._Parser, "__init__", lambda self, **kw: built.append(kw["prog"]) or init(self, **kw)
+    )
+    cli._make_parser.cache_clear()
+    stored = tmp_path / "h.json"
+    seeded = [
+        H88,
+        ("verify", "triple-agreement", "--n", "6", "--cases", "3", "--format", "json"),
+        ("mc", "ours", "--trials", "200", "--format", "json"),
+    ]
+    for i, argv in enumerate(seeded):
+        monkeypatch.setenv(cli.ENV_SEED, str(i + 5))
+        via_env = call_main(argv)
+        assert via_env[0] == 0, argv
+        assert via_env == call_main((*argv, "--seed", str(i + 5))), argv
+    stored.write_text(call_main(H88)[1], encoding="utf-8")
+    assert call_main(("replay", str(stored)))[0] == 0
+    assert call_main(("export", str(stored), "--to", "json"))[0] == 0
+    assert built.count("clusterforge") == 1
+
 def test_verify_bad_options_exit_1_with_one_line():
     cases = [
         (("--n", "20"), b"qubit"),
@@ -357,6 +431,11 @@ def test_mc_unbounded_or_non_finite_inputs_exit_1_with_one_line():
     cases = [
         (("--p", "1e-300", "--lcost", "2", "--fail", "2", "--trials", "1"), b"draws"),
         (("--p", "0.5", "--lcost", "nan", "--fail", "2", "--format", "json"), b"finite"),
+        (("--p", "0.5", "--lcost", "1e200", "--fail", "1", "--trials", "100"), b"overflow"),
+        (("--p", "0.5", "--lcost", "1e160", "--fail", "1", "--trials", "1"), b"overflow"),
+        (("--p", "0.5", "--lcost", "1e160", "--fail", "1", "--trials", "1", "--csv"), b"overflow"),
+        (("--p", "0.5", "--lcost", "1e308", "--fail", "1e308", "--trials", "100",
+          "--format", "json"), b"overflow"),
     ]
     for args, needle in cases:
         r = run_cli("mc", *args, timeout=60)
