@@ -302,6 +302,7 @@ def cmd_replay(args) -> int:
 
 @functools.cache
 def _make_parser() -> _Parser:
+    """Built once per process, so it holds no default read from the environment."""
     parser = _Parser(prog="clusterforge", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
     seed_kw = dict(type=int, help="rng seed (default: $CLUSTERFORGE_SEED or 0)")
@@ -354,8 +355,6 @@ def _make_parser() -> _Parser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _make_parser().parse_args(argv)
-    # The seed default is read per call, so the one cached parser never
-    # freezes $CLUSTERFORGE_SEED.
     if getattr(args, "seed", 0) is None:
         args.seed = _default_seed()
     return args.func(args)

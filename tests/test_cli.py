@@ -344,7 +344,6 @@ def test_seed_env_variable():
     assert flag_wins.stdout == run_cli("build", "H", "--chains", "8,8", "--seed", "3").stdout
 
 
-
 # -- one parser per process -------------------------------------------------------
 #
 # ``cli.main`` parses every call with one cached parser, so nothing a call
@@ -367,9 +366,9 @@ H88 = ("build", "H", "--chains", "8,8")
 
 def test_seed_env_variable_is_read_on_every_call(monkeypatch):
     monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    cli._make_parser.cache_clear()
     by_flag = {seed: call_main((*H88, "--seed", seed)) for seed in ("0", "1", "3")}
     assert len(set(by_flag.values())) == 3
-    call_main(H88)  # the parser now exists, built with the variable unset
     for seed in ("3", "1", "0", "junk", "3"):
         monkeypatch.setenv(cli.ENV_SEED, seed)
         assert call_main(H88) == by_flag["0" if seed == "junk" else seed], seed
@@ -398,7 +397,6 @@ def test_every_verb_shares_one_parser(monkeypatch, tmp_path):
         cli._Parser, "__init__", lambda self, **kw: built.append(kw["prog"]) or init(self, **kw)
     )
     cli._make_parser.cache_clear()
-    stored = tmp_path / "h.json"
     seeded = [
         H88,
         ("verify", "triple-agreement", "--n", "6", "--cases", "3", "--format", "json"),
@@ -409,10 +407,12 @@ def test_every_verb_shares_one_parser(monkeypatch, tmp_path):
         via_env = call_main(argv)
         assert via_env[0] == 0, argv
         assert via_env == call_main((*argv, "--seed", str(i + 5))), argv
+    stored = tmp_path / "h.json"
     stored.write_text(call_main(H88)[1], encoding="utf-8")
     assert call_main(("replay", str(stored)))[0] == 0
     assert call_main(("export", str(stored), "--to", "json"))[0] == 0
     assert built.count("clusterforge") == 1
+
 
 def test_verify_bad_options_exit_1_with_one_line():
     cases = [
