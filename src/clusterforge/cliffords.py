@@ -3,12 +3,15 @@
 A local frame attaches one of the 24 single-qubit Cliffords to a vertex,
 recording how the simulated state differs from the canonical graph state
 of the current graph.  Each operator is represented by its conjugation
-action on the Pauli axes, which is all the tableau machinery needs; a
-2x2 matrix is available for statevector checks.
+action on the Pauli axes, through which the stabilizer tableau applies
+every single-qubit gate; a 2x2 matrix is available for statevector
+checks.  This module also holds the one Pauli encoding (``PAULIS``) and
+product-phase table (``PHASE``).
 
 Labels are canonical shortest words in the generators H and S, found by
 breadth-first search from the identity.  A word is read as a matrix
 product, so "HS" means S is applied to the state first, then H.
+``GATES`` names the tableau's gates H, S, SDG, X, Y and Z as operators.
 """
 
 from __future__ import annotations
@@ -18,10 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "PAULIS",
+    "PHASE",
     "CliffordOp",
     "ALL_OPS",
     "BY_LABEL",
     "IDENTITY",
+    "GATES",
     "compose",
     "inverse",
     "compose_labels",
@@ -29,15 +35,11 @@ __all__ = [
     "MAT",
 ]
 
-# Pauli products P*Q = phase * R for distinct P, Q (phase is +/-i).
-_PAULI_PRODUCT = {
-    ("X", "Y"): (1j, "Z"),
-    ("Y", "X"): (-1j, "Z"),
-    ("Y", "Z"): (1j, "X"),
-    ("Z", "Y"): (-1j, "X"),
-    ("Z", "X"): (1j, "Y"),
-    ("X", "Z"): (-1j, "Y"),
-}
+# A literal Pauli with X bit x and Z bit z is PAULIS[x + 2z].
+PAULIS = "IXZY"
+# PHASE[a, b]: power of i in P_a * P_b, whose letter is PAULIS[a ^ b]
+# (X*Z = -iY, X*Y = iZ, Z*Y = -iX, ...).
+PHASE = np.array([[0, 0, 0, 0], [0, 0, 3, 1], [0, 1, 0, 3], [0, 3, 1, 0]])
 
 
 @dataclass(frozen=True)
@@ -63,12 +65,12 @@ class CliffordOp:
         if pauli == "Z":
             return self.z_to, sign * self.z_sign
         if pauli == "Y":
-            # U Y U+ = i (U X U+)(U Z U+)
-            phase, letter = _PAULI_PRODUCT[(self.x_to, self.z_to)]
-            total = 1j * self.x_sign * self.z_sign * phase
-            if total not in (1, -1):
+            # U Y U+ = i (U X U+)(U Z U+), and i * i^k is real for odd k.
+            a, b = PAULIS.index(self.x_to), PAULIS.index(self.z_to)
+            k = PHASE[a, b]
+            if k % 2 == 0:
                 raise AssertionError("conjugated Y must carry a real sign")
-            return letter, sign * int(total.real)
+            return PAULIS[a ^ b], sign * self.x_sign * self.z_sign * (-1 if k == 1 else 1)
         raise ValueError(f"not a Pauli letter: {pauli!r}")
 
     @property
@@ -122,6 +124,12 @@ def inverse(op: CliffordOp) -> CliffordOp:
     raise AssertionError("group without inverses")
 
 
+_Z = compose(_S, _S)
+_X = compose(_H, compose(_Z, _H))
+# The tableau's single-qubit gates; X, Y = XZ and Z are Paulis up to phase.
+GATES = {"H": _H, "S": _S, "SDG": inverse(_S), "X": _X, "Y": compose(_X, _Z), "Z": _Z}
+
+
 def compose_labels(outer: str, inner: str) -> str:
     return compose(BY_LABEL[outer], BY_LABEL[inner]).label
 
@@ -139,8 +147,6 @@ MAT = {
 def matrix(op: CliffordOp | str) -> np.ndarray:
     """2x2 unitary for a Clifford (up to global phase), from its label word."""
     label = op if isinstance(op, str) else op.label
-    if label == "I":
-        return MAT["I"].copy()
     out = np.eye(2, dtype=complex)
     for ch in label:
         out = out @ MAT[ch]

@@ -15,10 +15,11 @@ machinery to the arithmetic.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .fusion import RngStream
 from .graphstate import chain
@@ -53,7 +54,8 @@ class CostModel:
     success_probability: float = 0.5
 
     def __post_init__(self):
-        if not (math.isfinite(self.l_build_cost) and math.isfinite(self.failure_penalty)):
+        # Unlike math.isfinite, this takes ints too large for a float.
+        if not all(abs(c) < math.inf for c in (self.l_build_cost, self.failure_penalty)):
             raise ValueError("cost parameters must be finite")
         if self.l_build_cost < 0 or self.failure_penalty < 0:
             raise ValueError("cost parameters must be nonnegative")
@@ -82,21 +84,30 @@ PRESETS: dict[str, CostModel] = {
 }
 
 
+def _finite(moment: Callable[[], float]) -> float:
+    """Evaluate a moment, refusing one that a float cannot hold."""
+    with contextlib.suppress(OverflowError):
+        value = moment()
+        if math.isfinite(value):
+            return value
+    raise ValueError("cost moments overflow a float; lower the costs")
+
+
 def closed_form_expected_cost(model: CostModel) -> float:
     """Expected total bonds: the fixed point of E = 2l + (1-p)(f + E)."""
     p = model.success_probability
-    return (2 * model.l_build_cost + (1 - p) * model.failure_penalty) / p
+    return _finite(lambda: (2 * model.l_build_cost + (1 - p) * model.failure_penalty) / p)
 
 
 def closed_form_cost_variance(model: CostModel) -> float:
     """Cost variance: cost is affine in the geometric attempt count."""
     p = model.success_probability
     per_attempt = 2 * model.l_build_cost + model.failure_penalty
-    return per_attempt**2 * (1 - p) / p**2
+    return _finite(lambda: per_attempt**2 * (1 - p) / p**2)
 
 
 def closed_form_expected_attempts(model: CostModel) -> float:
-    return 1 / model.success_probability
+    return _finite(lambda: 1 / model.success_probability)
 
 
 @dataclass(frozen=True)
@@ -130,12 +141,13 @@ class TrialStats:
             raise ValueError("need at least one trial")
         if sum(attempt_histogram.values()) != trials:
             raise ValueError("attempt histogram does not sum to the trial count")
-        mean = cost_sum / trials
+        mean = _finite(lambda: cost_sum / trials)
+        variance = 0.0
         if trials > 1:
             # n*sum(c^2) - sum(c)^2 stays exact for integer costs.
-            variance = (trials * cost_sq_sum - cost_sum**2) / (trials * (trials - 1))
-        else:
-            variance = 0.0
+            variance = _finite(
+                lambda: (trials * cost_sq_sum - cost_sum**2) / (trials * (trials - 1))
+            )
         return cls(
             trials=trials,
             mean_cost=mean,

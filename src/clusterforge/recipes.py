@@ -182,6 +182,11 @@ class _Builder:
         else:
             self.frame[v] = combined
 
+    def _require_frame_free(self, *vertices: int) -> None:
+        for v in vertices:
+            if v in self.frame:
+                raise ValueError(f"vertex {v} carries a frame correction; absorb it first")
+
     # -- steps -----------------------------------------------------------
 
     def box(self, segment: tuple[int, int, int, int]) -> None:
@@ -189,15 +194,13 @@ class _Builder:
         self.trace.append({"op": "box", "segment": list(segment)})
 
     def zmeas(self, v: int) -> None:
-        if v in self.frame:
-            raise ValueError(f"vertex {v} carries a frame correction; absorb it first")
+        self._require_frame_free(v)
         bonds = self.graph.degree(v)
         self.graph = measure_z(self.graph, v)
         self.trace.append({"op": "measure_z", "vertex": v, "bonds": bonds})
 
     def ymeas(self, v: int) -> None:
-        if v in self.frame:
-            raise ValueError(f"vertex {v} carries a frame correction; absorb it first")
+        self._require_frame_free(v)
         corrections = y_byproduct_frame(self.graph, v)
         bonds = self.graph.degree(v)
         self.graph = measure_y(self.graph, v)
@@ -206,8 +209,7 @@ class _Builder:
         self.trace.append({"op": "measure_y", "vertex": v, "bonds": bonds})
 
     def fuse(self, a: int, b: int, *, allow_nonleaf: bool = False) -> FusionOutcome:
-        if a in self.frame or b in self.frame:
-            raise ValueError("fusion targets must be frame-free")
+        self._require_frame_free(a, b)
         self.graph, outcome, delta = type1_fuse(
             self.graph,
             a,
@@ -253,9 +255,8 @@ class _Builder:
 
     def drop_isolated(self) -> list[int]:
         isolated = sorted(self.graph.isolated_vertices())
+        self._require_frame_free(*isolated)
         for v in isolated:
-            if v in self.frame:
-                raise ValueError(f"vertex {v} carries a frame correction; absorb it first")
             self.graph = self.graph.without_vertex(v)
         self.trace.append({"op": "drop_isolated", "vertices": isolated})
         return isolated

@@ -7,6 +7,9 @@ j (Y where both bits are set).  Row products track phases exactly, so
 two tableaus describe the same state iff their canonical forms match
 byte for byte, signs included.
 
+Pauli letters, product phases and the action of every single-qubit
+gate come from :mod:`cliffords`; only CZ, CNOT and SWAP are written out.
+
 The public :class:`StabilizerTableau` constructor is the one place that
 validates (0/1 bits, shapes, commuting and independent generators).
 Gates, measurements, row reductions and graph states keep a valid group
@@ -39,7 +42,6 @@ __all__ = [
     "StabilizerContradictionError",
 ]
 
-_SINGLE_GATES = ("H", "S", "SDG", "X", "Y", "Z")
 _TWO_GATES = ("CZ", "CNOT", "SWAP")
 
 
@@ -78,20 +80,15 @@ class PauliString:
         if text and text[0] in "+-":
             sign = 1 if text[0] == "+" else -1
             text = text[1:]
-        lookup = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-        try:
-            pairs = [lookup[ch] for ch in text]
-        except KeyError as exc:
-            raise ValueError(f"not a Pauli letter: {exc.args[0]!r}") from None
-        return cls(
-            tuple(p[0] for p in pairs), tuple(p[1] for p in pairs), sign
-        )
+        codes = [cliffords.PAULIS.find(ch) for ch in text]
+        if -1 in codes:
+            raise ValueError(f"not a Pauli letter: {text[codes.index(-1)]!r}")
+        return cls(tuple(c & 1 for c in codes), tuple(c >> 1 for c in codes), sign)
 
     @property
     def text(self) -> str:
-        letters = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
         body = "".join(
-            letters[(x, z)] for x, z in zip(self.x_bits, self.z_bits)
+            cliffords.PAULIS[x + 2 * z] for x, z in zip(self.x_bits, self.z_bits)
         )
         return ("+" if self.sign == 1 else "-") + body
 
@@ -99,23 +96,15 @@ class PauliString:
     def single(cls, n: int, qubit: int, letter: str, sign: int = 1) -> "PauliString":
         if not 0 <= qubit < n:
             raise ValueError(f"no such qubit: {qubit}")
-        x = [0] * n
-        z = [0] * n
-        if letter in ("X", "Y"):
-            x[qubit] = 1
-        if letter in ("Z", "Y"):
-            z[qubit] = 1
         if letter not in ("X", "Y", "Z"):
             raise ValueError(f"not a measurable Pauli letter: {letter!r}")
+        code = cliffords.PAULIS.index(letter)
+        x, z = [0] * n, [0] * n
+        x[qubit], z[qubit] = code & 1, code >> 1
         return cls(tuple(x), tuple(z), sign)
 
     def is_identity(self) -> bool:
         return not any(self.x_bits) and not any(self.z_bits)
-
-
-# _PHASE[a, b]: power of i in P_a * P_b for literal Paulis indexed by
-# x + 2z, that is I, X, Z, Y (X*Z = -iY, X*Y = iZ, Z*Y = -iX, ...).
-_PHASE = np.array([[0, 0, 0, 0], [0, 0, 3, 1], [0, 1, 0, 3], [0, 3, 1, 0]])
 
 
 def _phase_exponents(
@@ -125,7 +114,7 @@ def _phase_exponents(
 
     Sums over the last axis, so a stack of rows gives one power per row.
     """
-    return _PHASE[x1 + 2 * z1, x2 + 2 * z2].sum(axis=-1) % 4
+    return cliffords.PHASE[x1 + 2 * z1, x2 + 2 * z2].sum(axis=-1) % 4
 
 
 # ---------------------------------------------------------------------------
@@ -214,31 +203,14 @@ class StabilizerTableau:
 
     def apply(self, gate: str, *qubits: int) -> "StabilizerTableau":
         """Conjugate every generator by a named Clifford gate."""
-        x = self._x.copy()
-        z = self._z.copy()
-        neg = self._neg.copy()
+        x, z, neg = self._x.copy(), self._z.copy(), self._neg.copy()
         gate = gate.upper()
-        if gate in _SINGLE_GATES:
+        if gate in cliffords.GATES:
             if len(qubits) != 1:
                 raise ValueError(f"{gate} takes one qubit")
             (q,) = qubits
             self._check_qubit(q)
-            xq, zq = x[:, q].copy(), z[:, q].copy()
-            if gate == "H":
-                neg ^= xq & zq
-                x[:, q], z[:, q] = zq, xq
-            elif gate == "S":
-                neg ^= xq & zq
-                z[:, q] = zq ^ xq
-            elif gate == "SDG":
-                neg ^= xq & (1 - zq)
-                z[:, q] = zq ^ xq
-            elif gate == "X":
-                neg ^= zq
-            elif gate == "Y":
-                neg ^= xq ^ zq
-            elif gate == "Z":
-                neg ^= xq
+            _conjugate_column(x, z, neg, q, gate)
         elif gate in _TWO_GATES:
             if len(qubits) != 2 or qubits[0] == qubits[1]:
                 raise ValueError(f"{gate} takes two distinct qubits")
@@ -275,6 +247,28 @@ def _bits(a) -> np.ndarray:
     if not np.all((arr == 0) | (arr == 1)):
         raise ValueError("bits must be 0 or 1")
     return arr.astype(np.uint8)
+
+
+def _column_action(op: "cliffords.CliffordOp") -> np.ndarray:
+    """table[x, z] = (x', z', sign flip) of the Pauli with bits (x, z) under op."""
+    table = np.zeros((2, 2, 3), dtype=np.uint8)
+    for code, letter in enumerate(cliffords.PAULIS):
+        image, sign = op.conjugate(letter)
+        k = cliffords.PAULIS.index(image)
+        table[code & 1, code >> 1] = (k & 1, k >> 1, sign < 0)
+    return table
+
+
+# Keyed by H/S label and by gate name; the two agree on "H" and "S".
+_ACTION = {label: _column_action(op) for label, op in cliffords.BY_LABEL.items()}
+_ACTION.update((name, _column_action(op)) for name, op in cliffords.GATES.items())
+
+
+def _conjugate_column(x, z, neg, q: int, name: str) -> None:
+    """In place: conjugate qubit q of every row by a Clifford label or gate name."""
+    new = _ACTION[name][x[:, q], z[:, q]]
+    x[:, q], z[:, q] = new[:, 0], new[:, 1]
+    neg ^= new[:, 2]
 
 
 def _row_mult(
@@ -347,15 +341,16 @@ def from_graph(g: GraphState) -> StabilizerTableau:
 def apply_clifford_op(
     t: StabilizerTableau, op: "cliffords.CliffordOp | str", q: int
 ) -> StabilizerTableau:
-    """Apply one of the 24 single-qubit Cliffords by its H/S word."""
+    """Apply one of the 24 single-qubit Cliffords, named by its H/S word."""
     label = op if isinstance(op, str) else op.label
     if label not in cliffords.BY_LABEL:
         raise ValueError(f"unknown Clifford label: {label!r}")
     if label == "I":
         return t
-    for ch in reversed(label):  # rightmost factor acts first
-        t = t.apply(ch, q)
-    return t
+    t._check_qubit(q)
+    x, z, neg = t._x.copy(), t._z.copy(), t._neg.copy()
+    _conjugate_column(x, z, neg, q, label)
+    return StabilizerTableau._trusted(x, z, neg)
 
 
 def measure_pauli(
@@ -445,7 +440,11 @@ def to_graph(t: StabilizerTableau) -> tuple[GraphState, dict[int, str]]:
     """
     n = t.n
     x, z, neg = t._x.copy(), t._z.copy(), t._neg.copy()
-    applied: dict[int, list[str]] = {q: [] for q in range(n)}
+    applied = [cliffords.IDENTITY] * n  # per qubit, the product of its gates
+
+    def conjugate(q: int, gate: str) -> None:
+        _conjugate_column(x, z, neg, q, gate)
+        applied[q] = cliffords.compose(cliffords.GATES[gate], applied[q])
 
     # Hadamards until the X block has full rank.  A rank-deficient RREF
     # leaves pure-Z rows whose support avoids all X pivot columns, so
@@ -454,10 +453,7 @@ def to_graph(t: StabilizerTableau) -> tuple[GraphState, dict[int, str]]:
         support = np.nonzero(z[rank])[0]  # first pure-Z row
         if not support.size:
             raise AssertionError("identity row in an independent tableau")
-        q = int(support[0])
-        neg ^= x[:, q] & z[:, q]
-        x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
-        applied[q].append("H")
+        conjugate(int(support[0]), "H")
 
     # X block is now the identity; the Z block must be symmetric.
     if not np.array_equal(x, np.eye(n, dtype=np.uint8)):
@@ -467,35 +463,22 @@ def to_graph(t: StabilizerTableau) -> tuple[GraphState, dict[int, str]]:
 
     for q in range(n):
         if z[q, q]:
-            # Y at the diagonal: S-dagger turns it into X without touching
-            # other rows, whose X part vanishes at column q.  No sign flips:
-            # SDG only flips rows with X (not Y) at q.
-            z[q, q] = 0
-            applied[q].append("SDG")
+            # Y at the diagonal: S-dagger turns it into X, with no sign flip,
+            # and leaves the other rows alone, whose X part vanishes at q.
+            conjugate(q, "SDG")
 
     for q in range(n):
         if neg[q]:
-            neg[q] = 0
-            applied[q].append("Z")
+            # Row q is the only one with X at q, so Z flips its sign alone.
+            conjugate(q, "Z")
 
     edges = {
         (i, j) for i in range(n) for j in range(i + 1, n) if z[i, j]
     }
     g = GraphState(frozenset(range(n)), frozenset(edges))
 
-    steps = {
-        "H": cliffords.BY_LABEL["H"],
-        "SDG": cliffords.inverse(cliffords.BY_LABEL["S"]),
-        "Z": cliffords.CliffordOp("X", -1, "Z", 1),
-    }
-    frame: dict[int, str] = {}
-    for q in range(n):
-        op = cliffords.IDENTITY
-        for gate in applied[q]:  # application order; later gates compose left
-            op = cliffords.compose(steps[gate], op)
-        inv = cliffords.inverse(op)
-        if inv.label != "I":
-            frame[q] = inv.label
+    frame = {q: cliffords.inverse(op).label
+             for q, op in enumerate(applied) if op != cliffords.IDENTITY}
 
     check = from_graph(g)
     for q, label in frame.items():

@@ -174,6 +174,31 @@ def test_run_trials_rejects_unbounded_draw_counts():
         run_recipe_trials(MAX_EXPECTED_DRAWS, 0)
 
 
+@pytest.mark.parametrize(
+    "moment",
+    [
+        lambda: run_trials(CostModel(1e200, 1, 0.5), 100, 0),
+        lambda: closed_form_cost_variance(CostModel(1e160, 1, 0.5)),
+        lambda: run_trials(CostModel(1e308, 1e308, 0.5), 100, 0),
+        lambda: closed_form_expected_cost(CostModel(1e308, 1e308, 0.5)),
+        lambda: closed_form_expected_cost(CostModel(10**400, 1, 0.5)),
+        lambda: closed_form_expected_attempts(CostModel(success_probability=5e-324)),
+    ],
+    ids=["sampled-variance", "closed-variance", "sampled-inf-nan", "closed-mean-inf",
+         "int-cost", "closed-attempts"],
+)
+def test_cost_moments_that_overflow_a_float_are_refused(moment):
+    # Each raised a bare OverflowError or returned inf or nan before.
+    with pytest.raises(ValueError, match="cost moments overflow a float"):
+        moment()
+
+
+def test_large_but_finite_cost_moments_are_kept():
+    s = run_trials(CostModel(1e150, 1, 0.5), 100, 0)
+    assert 1e150 < s.mean_cost < 1e152 and 0 < s.variance < 1e304
+    assert closed_form_cost_variance(CostModel(1e150, 1, 0.5)) == pytest.approx(8e300)
+
+
 def test_run_trials_histogram_determines_sums():
     # cost is a function of the attempt count, so the histogram carries
     # the whole distribution; the sums must agree with it exactly

@@ -23,12 +23,13 @@ def test_no_assert_statements_in_the_package():
 
 
 def test_export_and_replay_catch_only_value_error():
-    # Stored documents are checked to raise only ValueError; catching
-    # KeyError or TypeError as well would turn a missed check into exit 1.
+    # Stored documents and mc's cost moments are checked to raise only
+    # ValueError; catching KeyError, TypeError or OverflowError as well
+    # would turn a missed check into exit 1.
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
     verbs = [f for f in tree.body if isinstance(f, ast.FunctionDef)
-             and f.name in ("cmd_export", "cmd_replay")]
-    assert len(verbs) == 2
+             and f.name in ("cmd_export", "cmd_replay", "cmd_mc")]
+    assert len(verbs) == 3
     broad = [
         f"{fn.name}:{node.lineno}"
         for fn in verbs

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from clusterforge.cliffords import BY_LABEL
 from clusterforge.fusion import RngStream
 from clusterforge.graphstate import GraphState, chain, ring, star
 from clusterforge import tableau as tb
@@ -153,11 +154,32 @@ def test_swap_moves_star_center():
     assert canonical_equal(swapped, from_graph(chain(3)))
 
 
+def _random_state(rng: RngStream, n: int) -> StabilizerTableau:
+    t = from_graph(GraphState(range(n)))
+    for _ in range(3 * n):
+        a = rng.next_u64() % n
+        t = t.apply(("H", "S")[rng.next_u64() % 2], a)
+        t = t.apply("CNOT", a, (a + 1 + rng.next_u64() % (n - 1)) % n)
+    return t
+
+
 def test_apply_clifford_op_word_order():
     t = PLUS
     assert canonical_equal(
         apply_clifford_op(t, "HS", 0), t.apply("S", 0).apply("H", 0)
     )
+    # Every label in one step equals its word applied letter by letter,
+    # rightmost first, on seeded random states; rows are compared exactly.
+    rng = RngStream(24)
+    for case in range(6):
+        t = _random_state(rng, 2 + case)
+        for label, op in BY_LABEL.items():
+            q = rng.next_u64() % t.n
+            by_letters = t
+            for ch in reversed(label.replace("I", "")):
+                by_letters = by_letters.apply(ch, q)
+            assert apply_clifford_op(t, label, q) == by_letters, label
+            assert apply_clifford_op(t, op, q) == by_letters, label
     assert apply_clifford_op(t, "I", 0) is t
     with pytest.raises(ValueError, match="unknown Clifford label"):
         apply_clifford_op(t, "Q", 0)
@@ -248,7 +270,7 @@ def test_dump_text():
 
 
 def test_to_graph_round_trip_random_clifford_states():
-    labels = list(__import__("clusterforge.cliffords", fromlist=["BY_LABEL"]).BY_LABEL)
+    labels = list(BY_LABEL)
     rng = RngStream(42)
     for case in range(20):
         n = 2 + case % 5
