@@ -32,7 +32,7 @@ from .graphstate import (
     ring,
     star,
 )
-from .oracle import ORACLE_QUBIT_LIMIT, apply_unitary, graph_state_vector, project_measure
+from .oracle import ORACLE_QUBIT_LIMIT, _apply_unitary, graph_state_vector, project_measure
 from .recipes import (
     RecipeResult,
     _Builder,
@@ -143,10 +143,7 @@ class _Tableau:
         return tb.canonical_equal(self.state, want)
 
 
-_GATES = {
-    "H": matrix("H"),
-    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
-}
+_GATES = {"H": matrix("H"), "CNOT": np.eye(4, dtype=complex)[[0, 1, 3, 2]]}
 
 
 class _Oracle:
@@ -156,7 +153,7 @@ class _Oracle:
         self.state = graph_state_vector(g)
 
     def gate(self, name: str, *qubits: int) -> None:
-        self.state = apply_unitary(self.state, _GATES[name], qubits)
+        self.state = _apply_unitary(self.state, _GATES[name], qubits)
 
     def measure(self, q: int, letter: str) -> float:
         """Force the +1 outcome; returns the branch probability."""
@@ -170,7 +167,7 @@ class _Oracle:
         """|<frame-corrected graph state of g | state>|."""
         want = graph_state_vector(g)
         for q, label in frame.items():
-            want = apply_unitary(want, matrix(label), (q,))
+            want = _apply_unitary(want, matrix(label), (q,))
         return float(abs(np.vdot(want.amplitudes, self.state.amplitudes)))
 
 

@@ -115,13 +115,11 @@ def _enumerate() -> tuple[list[CliffordOp], dict[CliffordOp, str]]:
 ALL_OPS, _LABELS = _enumerate()
 BY_LABEL: dict[str, CliffordOp] = {_LABELS[op]: op for op in ALL_OPS}
 IDENTITY = _I
+_INVERSE = {op: next(c for c in ALL_OPS if compose(op, c) == _I) for op in ALL_OPS}
 
 
 def inverse(op: CliffordOp) -> CliffordOp:
-    for cand in ALL_OPS:
-        if compose(op, cand) == _I:
-            return cand
-    raise AssertionError("group without inverses")
+    return _INVERSE[op]
 
 
 _Z = compose(_S, _S)

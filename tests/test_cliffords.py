@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from clusterforge.cliffords import (
+    _INVERSE,
     ALL_OPS,
     BY_LABEL,
     IDENTITY,
@@ -80,10 +81,16 @@ def test_compose_order_is_outer_inner():
 
 
 def test_inverses():
+    # inverse() reads a table built at import: it must pair the 24 ops up
+    # as a permutation that is its own inverse, each entry undoing its op
+    # as a conjugation table and as a 2x2 matrix.
+    assert set(_INVERSE) == set(ALL_OPS) == set(_INVERSE.values())
     for op in ALL_OPS:
         inv = inverse(op)
+        assert inv is _INVERSE[op] and inverse(inv) == op
         assert compose(op, inv) == IDENTITY
         assert compose(inv, op) == IDENTITY
+        assert proportional(matrix(op) @ matrix(inv), np.eye(2))
     assert inverse(BY_LABEL["H"]).label == "H"
     assert inverse(BY_LABEL["SS"]).label == "SS"
     assert inverse(BY_LABEL["HS"]).label == "HSHS"

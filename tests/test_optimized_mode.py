@@ -22,6 +22,28 @@ def test_no_assert_statements_in_the_package():
     assert found == [], "use `raise AssertionError(msg)` instead of assert: " + ", ".join(found)
 
 
+def test_only_the_oracle_builds_unchecked_state_vectors():
+    # StateVector._trusted skips the norm check and the copy; a caller
+    # outside oracle.py could hand it any array.
+    def trusted_calls(path: Path) -> list[str]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {"StateVector"} | {
+            alias.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name == "StateVector" and alias.asname
+        }
+        return [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_trusted"
+            and ast.unparse(node.value).split(".")[-1] in names
+        ]
+
+    assert trusted_calls(SRC / "oracle.py"), "the guard no longer sees the oracle's own calls"
+    leaks = [hit for path in sorted(SRC.glob("*.py")) if path.name != "oracle.py"
+             for hit in trusted_calls(path)]
+    assert leaks == [], "StateVector._trusted outside oracle.py: " + ", ".join(leaks)
+
+
 def test_export_and_replay_catch_only_value_error():
     # Stored documents and mc's cost moments are checked to raise only
     # ValueError; catching KeyError, TypeError or OverflowError as well

@@ -174,6 +174,74 @@ def test_merge_qubits_is_cnot_then_z_projection():
         assert equal_up_to_global_phase(merged, StateVector(n - 1, dropped.reshape(-1)))
 
 
+def _random_state(n: int, seed: int) -> StateVector:
+    """A seeded state with Gaussian complex amplitudes."""
+    gen = np.random.default_rng(seed)
+    amps = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
+def test_graph_state_vector_is_exactly_the_cz_circuit():
+    # |+>^n with one CZ per edge, each applied as a dense 4x4 matrix: its
+    # entries are 0 and +-1, so every amplitude is exactly +-2^(-n/2).
+    cz = np.diag([1, 1, 1, -1]).astype(complex)
+    for n in range(1, ORACLE_QUBIT_LIMIT + 1):
+        for seed in range(2):
+            g = random_graph(n, RngStream(100 * n + seed))
+            pos = {v: i for i, v in enumerate(g.sorted_vertices())}
+            want = StateVector(n, np.full(2**n, 2 ** (-n / 2), dtype=complex))
+            for u, v in g.edges:
+                want = apply_unitary(want, cz, (pos[u], pos[v]))
+            assert np.array_equal(graph_state_vector(g).amplitudes, want.amplitudes), (n, seed)
+
+
+def test_project_measure_is_exactly_the_pauli_matrix_projection():
+    # (v + s P v) / 2, renormalized, with P applied as its 2x2 matrix
+    # (entries 0, +-1 and +-i): any reordered or fused float operation in
+    # project_measure shows here.
+    states = [_random_state(n, n) for n in range(1, 7)]
+    states.append(graph_state_vector(random_graph(10, RngStream(5))))
+    for v in states:
+        for q in range(v.n):
+            for basis in "XYZ":
+                flipped = apply_unitary(v, MAT[basis], (q,)).amplitudes
+                for s in (1, -1):
+                    proj = (v.amplitudes + s * flipped) / 2.0
+                    prob = float(np.vdot(proj, proj).real)
+                    if prob < 1e-12:
+                        continue
+                    got, p = project_measure(v, q, basis, s)
+                    assert p == prob, (v.n, q, basis, s)
+                    assert np.array_equal(got.amplitudes, proj / np.sqrt(prob)), (v.n, q, basis, s)
+
+
+def test_project_measure_refuses_a_missing_qubit():
+    v = plus(3)
+    for q in (3, 7, -1):
+        for basis in "XYZ":
+            with pytest.raises(ValueError, match="no such qubit"):
+                project_measure(v, q, basis, 1)
+
+
+def test_built_states_are_read_only_and_normalized():
+    cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+    v = graph_state_vector(random_graph(9, RngStream(3)))
+    built = [
+        v,
+        graph_state_vector(GraphState([])),
+        apply_unitary(v, MAT["H"], (4,)),
+        apply_unitary(_random_state(5, 1), cnot, (3, 0)),
+        project_measure(v, 2, "Y", -1)[0],
+        project_measure(_random_state(6, 2), 5, "X", 1)[0],
+        merge_qubits(v, 1, 6)[0],
+    ]
+    for w in built:
+        assert not w.amplitudes.flags.writeable
+        assert abs(np.linalg.norm(w.amplitudes) - 1.0) < 1e-12
+        with pytest.raises(ValueError):
+            w.amplitudes[0] = 1.0
+
+
 def test_equal_up_to_global_phase():
     v = graph_state_vector(star(3))
     w = StateVector(3, v.amplitudes * np.exp(0.7j))
