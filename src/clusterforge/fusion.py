@@ -147,13 +147,14 @@ def type1_fuse(
     traces stay aligned.  Targets must be distinct, non-adjacent, and
     leaves (degree <= 1) unless ``allow_nonleaf`` opts into the
     generalized rule, which is oracle-validated in the test suite.
+    A recipe's working graph is edited in place and returned.
     """
-    g._require(a, b)
+    na, nb = g.neighbors(a), g.neighbors(b)
     if a == b:
         raise ValueError("unsupported fusion target: cannot fuse a vertex with itself")
-    if g.has_edge(a, b):
+    if b in na:
         raise ValueError("unsupported fusion target: vertices are adjacent")
-    if not allow_nonleaf and (g.degree(a) > 1 or g.degree(b) > 1):
+    if not allow_nonleaf and (len(na) > 1 or len(nb) > 1):
         raise ValueError(
             "unsupported fusion target: degree > 1 (pass allow_nonleaf for the "
             "generalized rule)"
@@ -169,10 +170,9 @@ def type1_fuse(
     else:
         raise ValueError(f"forced outcome must be 'S' or 'F', got {forced!r}")
 
-    na, nb = g.neighbors(a), g.neighbors(b)
     cut = [(a, u) for u in na] + [(b, u) for u in nb]
     if success:
-        merged = max(g.vertices) + 1
+        merged = g._fresh()
         out = g._rewired(cut + [(merged, u) for u in na ^ nb], add=merged, drop=(a, b))
         outcome = FusionOutcome(True, merged=merged)
         bonds = 0
@@ -185,12 +185,11 @@ def type1_fuse(
 
 
 def merge_disjoint(ga: GraphState, gb: GraphState) -> GraphState:
-    """Union of two graphs over disjoint vertex sets."""
+    """Union of two graphs over disjoint vertex sets; a recipe's working
+    graph as ``ga`` takes ``gb`` in place."""
     overlap = ga.vertices & gb.vertices
     if overlap:
         raise ValueError(
             f"vertex sets overlap: {sorted(overlap)}; relabel one side first"
         )
-    return GraphState._trusted(
-        ga.vertices | gb.vertices, ga.edges | gb.edges, {**ga._adj, **gb._adj}
-    )
+    return ga._merged(gb)

@@ -12,14 +12,20 @@ reported separately where they arise (see :func:`y_byproduct_frame`).
 
 Vertices are small non-negative integers.  Edges are stored as (u, v)
 tuples with u < v.
+
+Each rewrite rule reads its graph through a few queries and changes it
+through one toggle kernel, ``_rewired``: a :class:`GraphState` comes back
+as a new graph, while the private working graph a recipe holds is edited
+in place in O(degree) and returned.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -97,9 +103,6 @@ class GraphState:
     def n(self) -> int:
         return len(self.vertices)
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self.vertices
-
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
 
@@ -153,39 +156,17 @@ class GraphState:
 
     # -- pure structural edits (no cost semantics) -----------------------
 
-    def _rewired(
-        self, pairs: Iterable[tuple[int, int]], *, add: int | None = None, drop: tuple = ()
-    ) -> "GraphState":
-        """Toggle the edge of every pair, after adding the vertex ``add`` and
-        before removing the vertices ``drop``, which the pairs must leave
-        isolated.
+    def _rewired(self, pairs, *, add=None, drop=()) -> "GraphState":
+        """:meth:`_WorkingGraph._rewired` on a thawed copy, frozen again."""
+        return _WorkingGraph(self)._rewired(pairs, add=add, drop=drop).freeze()
 
-        The one place a rewrite changes edges: the edge set and the
-        neighbour map change only at the vertices the pairs touch, so the
-        graph is never walked in Python.  Callers check the pairs: distinct
-        edges, each joining two vertices of the graph or ``add``.
-        """
-        adj = self._adj.copy()
-        vertices = self.vertices
-        if add is not None:
-            adj[add] = frozenset()
-            vertices = vertices | {add}
-        flipped: set[tuple[int, int]] = set()
-        touched: defaultdict[int, list[int]] = defaultdict(list)
-        for u, v in pairs:
-            flipped.add((u, v) if u < v else (v, u))
-            touched[u].append(v)
-            touched[v].append(u)
-        if drop:
-            for v in drop:
-                del adj[v]
-                touched.pop(v, None)
-            vertices = vertices.difference(drop)
-        for u, ns in touched.items():
-            adj[u] = adj[u].symmetric_difference(ns)
-        # A difference copies the edge set once; ^ re-inserts every edge.
-        edges = self.edges ^ flipped if flipped - self.edges else self.edges - flipped
-        return GraphState._trusted(vertices, edges, adj)
+    def _fresh(self) -> int:
+        """The id a successful fusion gives its merged vertex."""
+        return max(self.vertices) + 1
+
+    def _merged(self, other: "GraphState") -> "GraphState":
+        vertices, edges = self.vertices | other.vertices, self.edges | other.edges
+        return GraphState._trusted(vertices, edges, {**self._adj, **other._adj})
 
     def with_edges_toggled(self, pairs: Iterable[tuple[int, int]]) -> "GraphState":
         flipped: set[tuple[int, int]] = set()
@@ -235,6 +216,74 @@ class GraphState:
         return comps
 
 
+class _WorkingGraph:
+    """GraphState's vertices, edges and neighbour map in mutable containers.
+
+    An edit replaces the neighbour frozensets it touches, so none handed
+    out ever changes.  Thawing (the constructor) and :meth:`freeze` copy
+    the three containers in O(|V| + |E|)."""
+
+    __slots__ = ("vertices", "edges", "_adj", "_tops")
+
+    def __init__(self, g: GraphState):
+        self.vertices = set(g.vertices)
+        self.edges = set(g.edges)
+        self._adj = dict(g._adj)
+        self._tops: list[int] | None = None  # see _fresh
+
+    # The queries the rewrite rules read, as GraphState answers them.
+    has_edge = GraphState.has_edge
+    neighbors = GraphState.neighbors
+    degree = GraphState.degree
+    _require = GraphState._require
+
+    def freeze(self) -> GraphState:
+        return GraphState._trusted(frozenset(self.vertices), frozenset(self.edges), dict(self._adj))
+
+    def _fresh(self) -> int:
+        """``max(vertices) + 1`` from a heap of negated ids, built on first
+        use; ids dropped since stay in it until they reach the top."""
+        tops = self._tops
+        if tops is None:
+            tops = self._tops = [-v for v in self.vertices]
+            heapify(tops)
+        while -tops[0] not in self.vertices:
+            heappop(tops)
+        return 1 - tops[0]
+
+    def _rewired(self, pairs: Iterable[tuple[int, int]], *, add: int | None = None,
+                 drop: tuple = ()) -> "_WorkingGraph":
+        """Toggle the edge of every pair in place, after adding the vertex
+        ``add`` and before removing the vertices ``drop``, which the pairs
+        must leave isolated.  Callers check the pairs: distinct edges, each
+        joining two vertices of the graph or ``add``.
+        """
+        adj, edges = self._adj, self.edges
+        if add is not None:
+            self.vertices.add(add)
+            adj[add] = frozenset()
+            if self._tops is not None:
+                heappush(self._tops, -add)
+        for u, v in pairs:
+            edges ^= {(u, v) if u < v else (v, u)}
+            adj[u] ^= {v}
+            adj[v] ^= {u}
+        for v in drop:
+            del adj[v]
+        self.vertices.difference_update(drop)
+        return self
+
+    def _merged(self, other: GraphState) -> "_WorkingGraph":
+        """Add a graph on disjoint vertices (the caller checks) in place."""
+        self.vertices |= other.vertices
+        self.edges |= other.edges
+        self._adj.update(other._adj)
+        if self._tops is not None:
+            for v in other.vertices:
+                heappush(self._tops, -v)
+        return self
+
+
 # -- constructors ---------------------------------------------------------
 
 
@@ -273,12 +322,7 @@ def star(n: int, center: int = 1) -> GraphState:
 def local_complement(g: GraphState, v: int) -> GraphState:
     """Toggle every edge between neighbors of v (a local Clifford move)."""
     nbrs = sorted(g.neighbors(v))
-    pairs = [
-        (nbrs[i], nbrs[j])
-        for i in range(len(nbrs))
-        for j in range(i + 1, len(nbrs))
-    ]
-    return g.with_edges_toggled(pairs)
+    return g._rewired([(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1 :]])
 
 
 def measure_z(g: GraphState, v: int) -> GraphState:
@@ -287,7 +331,7 @@ def measure_z(g: GraphState, v: int) -> GraphState:
     The +1 outcome branch is taken, so no byproduct corrections remain
     on the neighbors.
     """
-    return g.without_vertex(v)
+    return g._rewired([(v, u) for u in g.neighbors(v)], drop=(v,))
 
 
 def measure_y(g: GraphState, v: int) -> GraphState:
@@ -297,7 +341,7 @@ def measure_y(g: GraphState, v: int) -> GraphState:
     on every former neighbor of v; callers who need the exact state can
     fetch it from :func:`y_byproduct_frame` before measuring.
     """
-    return local_complement(g, v).without_vertex(v)
+    return local_complement(g, v)._rewired([(v, u) for u in g.neighbors(v)], drop=(v,))
 
 
 def y_byproduct_frame(g: GraphState, v: int) -> dict[int, str]:
@@ -326,13 +370,15 @@ def chain_to_box(g: GraphState, segment: tuple[int, int, int, int]) -> GraphStat
         raise ValueError("invalid box segment: needs four vertices, which must be distinct")
     q1, q2, q3, q4 = segment
     g._require(q1, q2, q3, q4)
-    if not (g.has_edge(q1, q2) and g.has_edge(q2, q3) and g.has_edge(q3, q4)):
+    n2, n3 = g.neighbors(q2), g.neighbors(q3)
+    if not (q1 in n2 and q3 in n2 and q4 in n3):
         raise ValueError("invalid box segment: not a path")
-    if g.neighbors(q2) != {q1, q3} or g.neighbors(q3) != {q2, q4}:
+    if n2 != {q1, q3} or n3 != {q2, q4}:
         raise ValueError(
             "invalid box segment: middle qubits must have no outside neighbors"
         )
-    if g.has_edge(q1, q4) or g.has_edge(q1, q3) or g.has_edge(q2, q4):
+    # The chords q1-q3 and q2-q4 would be outside neighbors of q3 and q2.
+    if g.has_edge(q1, q4):
         raise ValueError("invalid box segment: chord present")
     # q2-q3 stays; the other two path bonds go and three new ones come.
     return g._rewired([(q1, q2), (q3, q4), (q1, q3), (q2, q4), (q1, q4)])

@@ -16,6 +16,10 @@ free, and every measured, fused, or discarded qubit counts once in
 :func:`~clusterforge.fusion.step_cost` over the trace; it is derived,
 never stored beside the trace, and :func:`result_from_doc` rejects a
 document whose stored ledger is not that sum.
+
+A recipe copies its input once into a working graph that the public
+rewrite functions edit in place, and freezes an immutable graph only
+for its result and where it reads the whole graph.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from . import tableau as tb
 from .fusion import CostLedger, FusionOutcome, RngStream, merge_disjoint, step_cost, type1_fuse
 from .graphstate import (
     GraphState,
+    _WorkingGraph,
     chain_to_box,
     frame_from_doc,
     frame_to_doc,
@@ -140,38 +145,39 @@ def parse_schedule(forced) -> list[str]:
 
 
 class _Builder:
-    """Mutable recipe executor; accumulates graph, frame and trace."""
+    """Mutable recipe executor: edits a working graph in place and
+    accumulates frame and trace; ``graph`` freezes it, cached until an edit."""
 
-    def __init__(
-        self,
-        graph: GraphState,
-        rng: RngStream | None = None,
-        forced=None,
-        *,
-        initial: GraphState | None = None,
-        frame: Mapping[int, str] | None = None,
-        trace: Sequence[dict] = (),
-    ):
-        self.graph = graph
+    def __init__(self, graph: GraphState, rng: RngStream | None = None, forced=None, *,
+                 initial: GraphState | None = None, frame: Mapping[int, str] | None = None,
+                 trace: Sequence[dict] = ()):
+        self._thaw(graph)
         self.initial = graph if initial is None else initial
         self.rng = rng
-        self.schedule = parse_schedule(forced)
+        self._forced = iter(parse_schedule(forced))
         self.frame: dict[int, str] = dict(frame or {})
         self.trace: list[dict] = [dict(step) for step in trace]
 
     @classmethod
     def resume(cls, result: RecipeResult, rng=None, forced=None) -> "_Builder":
-        return cls(
-            result.graph,
-            rng,
-            forced,
-            initial=result.initial,
-            frame=result.frame,
-            trace=result.trace,
-        )
+        """A builder that goes on from a result; it edits a copy of the result's graph."""
+        return cls(result.graph, rng, forced, initial=result.initial, frame=result.frame,
+                   trace=result.trace)
 
-    def _next_forced(self) -> str | None:
-        return self.schedule.pop(0) if self.schedule else None
+    def _thaw(self, graph: GraphState) -> None:
+        self.work = _WorkingGraph(graph)
+        self._frozen: GraphState | None = graph
+
+    @property
+    def graph(self) -> GraphState:
+        if self._frozen is None:
+            self._frozen = self.work.freeze()
+        return self._frozen
+
+    def _record(self, step: dict) -> None:
+        """Log an in-place step; the frozen graph is stale from here on."""
+        self._frozen = None
+        self.trace.append(step)
 
     def _push_frame(self, v: int, label: str) -> None:
         # Existing corrections sit outside new ones: the physical state is
@@ -190,55 +196,44 @@ class _Builder:
     # -- steps -----------------------------------------------------------
 
     def box(self, segment: tuple[int, int, int, int]) -> None:
-        self.graph = chain_to_box(self.graph, segment)
-        self.trace.append({"op": "box", "segment": list(segment)})
+        chain_to_box(self.work, segment)
+        self._record({"op": "box", "segment": list(segment)})
 
     def zmeas(self, v: int) -> None:
         self._require_frame_free(v)
-        bonds = self.graph.degree(v)
-        self.graph = measure_z(self.graph, v)
-        self.trace.append({"op": "measure_z", "vertex": v, "bonds": bonds})
+        bonds = self.work.degree(v)
+        measure_z(self.work, v)
+        self._record({"op": "measure_z", "vertex": v, "bonds": bonds})
 
     def ymeas(self, v: int) -> None:
         self._require_frame_free(v)
-        corrections = y_byproduct_frame(self.graph, v)
-        bonds = self.graph.degree(v)
-        self.graph = measure_y(self.graph, v)
+        corrections = y_byproduct_frame(self.work, v)
+        bonds = self.work.degree(v)
+        measure_y(self.work, v)
         for b, label in corrections.items():
             self._push_frame(b, label)
-        self.trace.append({"op": "measure_y", "vertex": v, "bonds": bonds})
+        self._record({"op": "measure_y", "vertex": v, "bonds": bonds})
 
     def fuse(self, a: int, b: int, *, allow_nonleaf: bool = False) -> FusionOutcome:
         self._require_frame_free(a, b)
-        self.graph, outcome, delta = type1_fuse(
-            self.graph,
-            a,
-            b,
-            rng=self.rng,
-            forced=self._next_forced(),
-            allow_nonleaf=allow_nonleaf,
+        forced = next(self._forced, None)
+        _, outcome, delta = type1_fuse(
+            self.work, a, b, rng=self.rng, forced=forced, allow_nonleaf=allow_nonleaf
         )
-        self.trace.append(
-            {
-                "op": "fuse",
-                "a": a,
-                "b": b,
-                "outcome": "S" if outcome.success else "F",
-                "merged": outcome.merged,
-                "bonds": delta.bonds_consumed,
-                "allow_nonleaf": allow_nonleaf,
-            }
-        )
+        tag = "S" if outcome.success else "F"
+        self._record({"op": "fuse", "a": a, "b": b, "outcome": tag, "merged": outcome.merged,
+                      "bonds": delta.bonds_consumed, "allow_nonleaf": allow_nonleaf})
         return outcome
 
     def merge_step(self, extra: GraphState) -> None:
         """Bring fresh disjoint material into the working graph mid-recipe."""
-        self.graph = merge_disjoint(self.graph, extra)
-        self.trace.append({"op": "merge", **graph_to_doc(extra)})
+        merge_disjoint(self.work, extra)
+        self._record({"op": "merge", **graph_to_doc(extra)})
 
     def absorb(self, other: RecipeResult) -> None:
         """Adopt a finished disjoint result: graphs, frames and traces join."""
-        self.graph = merge_disjoint(self.graph, other.graph)
+        merge_disjoint(self.work, other.graph)
+        self._frozen = None
         self.initial = merge_disjoint(self.initial, other.initial)
         overlap = set(self.frame) & set(other.frame)
         if overlap:
@@ -247,7 +242,7 @@ class _Builder:
         self.trace.extend(dict(step) for step in other.trace)
 
     def relabel(self, mapping: Mapping[int, int]) -> None:
-        self.graph = self.graph.relabel(mapping)
+        self._thaw(self.graph.relabel(mapping))
         self.frame = {mapping.get(v, v): lab for v, lab in self.frame.items()}
         self.trace.append(
             {"op": "relabel", "mapping": {str(k): v for k, v in sorted(mapping.items())}}
@@ -256,14 +251,11 @@ class _Builder:
     def drop_isolated(self) -> list[int]:
         isolated = sorted(self.graph.isolated_vertices())
         self._require_frame_free(*isolated)
-        for v in isolated:
-            self.graph = self.graph.without_vertex(v)
-        self.trace.append({"op": "drop_isolated", "vertices": isolated})
+        self.work._rewired((), drop=tuple(isolated))
+        self._record({"op": "drop_isolated", "vertices": isolated})
         return isolated
 
-    def tableau_rewrite(
-        self, hadamards: Sequence[int], swaps: Sequence[tuple[int, int]]
-    ) -> None:
+    def tableau_rewrite(self, hadamards: Sequence[int], swaps: Sequence[tuple[int, int]]) -> None:
         """Apply Hadamards and label swaps exactly, re-extracting the graph.
 
         Runs through the stabilizer tableau so any residual corrections
@@ -271,34 +263,24 @@ class _Builder:
         """
         if self.frame:
             raise ValueError("tableau rewrite requires an empty frame")
-        self.graph._require(*hadamards, *(v for pair in swaps for v in pair))
-        order = self.graph.sorted_vertices()
+        g = self.graph
+        g._require(*hadamards, *(v for pair in swaps for v in pair))
+        order = g.sorted_vertices()
         index = {v: i for i, v in enumerate(order)}
-        t = tb.from_graph(self.graph)
+        t = tb.from_graph(g)
         for v in hadamards:
             t = t.apply("H", index[v])
         for a, b in swaps:
             t = t.apply("SWAP", index[a], index[b])
         g_pos, frame_pos = tb.to_graph(t)
-        self.graph = g_pos.relabel({i: v for i, v in enumerate(order)})
+        self._thaw(g_pos.relabel({i: v for i, v in enumerate(order)}))
         self.frame = {order[q]: lab for q, lab in sorted(frame_pos.items())}
-        self.trace.append(
-            {
-                "op": "tableau_rewrite",
-                "hadamards": list(hadamards),
-                "swaps": [list(p) for p in swaps],
-            }
-        )
+        swaps = [list(p) for p in swaps]
+        self.trace.append({"op": "tableau_rewrite", "hadamards": list(hadamards), "swaps": swaps})
 
     def finish(self, name: str, annotations: dict | None = None) -> RecipeResult:
-        return RecipeResult(
-            name=name,
-            graph=self.graph,
-            frame=dict(self.frame),
-            trace=tuple(self.trace),
-            initial=self.initial,
-            annotations=annotations or {},
-        )
+        return RecipeResult(name, self.graph, dict(self.frame), tuple(self.trace), self.initial,
+                            annotations or {})
 
 
 # -- deterministic single-chain recipes -------------------------------------
@@ -353,7 +335,7 @@ def _boxed_run(
         start = _consecutive_path(g, length, what)[0]
     run = range(start, start + length)
     for v in run:
-        if not g.has_vertex(v):
+        if v not in g.vertices:
             raise ValueError(f"{what} needs vertices {start}..{start + length - 1}")
     for v in run[:-1]:
         if not g.has_edge(v, v + 1):
@@ -403,36 +385,33 @@ def build_cross(g: GraphState, start: int | None = None) -> RecipeResult:
 # -- probabilistic joining recipes -------------------------------------------
 
 
-def _l_segment(path: list[int]) -> tuple[int, int, int, int] | None:
-    """Segment for the next L attempt on a chain walked from its anchor end.
+def _l_start(path: list[int]) -> int | None:
+    """Index of the next L segment on a chain walked from its anchor end.
 
-    The hub sits one step inside the chain when there is room, so the
-    joined shape gets a proper interior corner; a bare 4-chain falls
-    back to the end segment (the minimal L of the basic rewrite).
-    """
+    The hub sits one step inside the chain when there is room, so the joined
+    shape gets a proper interior corner; a bare 4-chain falls back to the end
+    segment (the minimal L of the basic rewrite)."""
     if len(path) >= 5:
-        return tuple(path[1:5])
+        return 1
     if len(path) == 4:
-        return tuple(path[0:4])
+        return 0
     return None
 
 
-def _attempt_rung(
-    b: _Builder, hosts: Sequence[list[int]], segments: Sequence[tuple[int, int, int, int]]
-) -> FusionOutcome:
+def _attempt_rung(b: _Builder, hosts: Sequence[list[int]], starts: Sequence[int]) -> FusionOutcome:
     """One rung attempt between two host paths.
 
-    Builds an L on each host's segment (box, then Z on the segment's
-    second vertex) and fuses the two arm qubits.  The measured and fused
-    vertices leave their host paths in place.
-    """
-    for host, seg in zip(hosts, segments):
+    Builds an L on the four-vertex segment of each host at its start
+    index (box, then Z on the segment's second vertex) and fuses the two
+    arm qubits.  The measured and fused vertices leave their host paths
+    in place, so each segment's first vertex keeps its index."""
+    segments = [tuple(host[i : i + 4]) for host, i in zip(hosts, starts)]
+    for seg in segments:
         b.box(seg)
         b.zmeas(seg[1])
-        host.remove(seg[1])
     outcome = b.fuse(segments[0][2], segments[1][2])
-    for host, seg in zip(hosts, segments):
-        host.remove(seg[2])
+    for host, i in zip(hosts, starts):
+        del host[i + 1 : i + 3]
     return outcome
 
 
@@ -466,15 +445,14 @@ def build_h_shape(
     g = merge_disjoint(chain_a, chain_b)
     b = _Builder(g, rng, forced)
     while True:
-        seg_a = _l_segment(path_a)
-        seg_b = _l_segment(path_b)
-        if seg_a is None or seg_b is None:
+        starts = [_l_start(path_a), _l_start(path_b)]
+        if None in starts:
             raise _exhaust(b, "H", {"rails": [path_a, path_b], "rungs": []})
-        outcome = _attempt_rung(b, (path_a, path_b), (seg_a, seg_b))
+        outcome = _attempt_rung(b, (path_a, path_b), starts)
         if outcome.success:
             annotations = {
                 "rails": [path_a, path_b],
-                "cursors": [path_a.index(seg_a[0]), path_b.index(seg_b[0])],
+                "cursors": starts,
                 "rungs": [outcome.merged],
             }
             return b.finish("H", annotations)
@@ -531,10 +509,10 @@ def grow_ladder(
             tail, head = rails[i][-1], spare["path"][0]
             outcome = b.fuse(tail, head)
             if outcome.success:
-                rails[i] = rails[i][:-1] + [outcome.merged] + spare["path"][1:]
+                rails[i][-1:] = [outcome.merged, *spare["path"][1:]]
                 pool.pop(0)
             else:
-                rails[i] = rails[i][:-1]
+                rails[i].pop()
                 spare["path"] = spare["path"][1:]
                 if len(spare["path"]) < 2:
                     pool.pop(0)
@@ -543,11 +521,10 @@ def grow_ladder(
     while added < rung_count:
         ensure_rail(0)
         ensure_rail(1)
-        segs = [tuple(rails[i][cursors[i] + 1 : cursors[i] + 5]) for i in (0, 1)]
-        outcome = _attempt_rung(b, rails, segs)
+        outcome = _attempt_rung(b, rails, [c + 1 for c in cursors])
         if outcome.success:
             rungs.append(outcome.merged)
-            cursors = [rails[i].index(segs[i][0]) for i in (0, 1)]
+            cursors = [c + 1 for c in cursors]
             added += 1
     return b.finish(name, {"rails": rails, "cursors": cursors, "rungs": rungs})
 
@@ -572,16 +549,15 @@ def grow_depth(
     new_path = path_vertices(new_chain)
     while True:
         c = cursors[outer]
-        seg_n = _l_segment(new_path)
-        if len(rails[outer]) < c + 5 or seg_n is None:
+        start_n = _l_start(new_path)
+        if len(rails[outer]) < c + 5 or start_n is None:
             raise _exhaust(b, "depth", {"rails": rails, "cursors": cursors, "rungs": rungs})
-        seg_r = tuple(rails[outer][c + 1 : c + 5])
-        outcome = _attempt_rung(b, (rails[outer], new_path), (seg_r, seg_n))
+        outcome = _attempt_rung(b, (rails[outer], new_path), (c + 1, start_n))
         if outcome.success:
             rungs.append(outcome.merged)
-            cursors[outer] = rails[outer].index(seg_r[0])
+            cursors[outer] = c + 1
             rails.append(new_path)
-            cursors.append(new_path.index(seg_n[0]))
+            cursors.append(start_n)
             return b.finish(
                 "depth", {"rails": rails, "cursors": cursors, "rungs": rungs}
             )
@@ -770,8 +746,14 @@ def nodeless_rung(g: GraphState, v: int) -> RecipeResult:
 
 
 def trace_ledger(trace: Iterable[Mapping]) -> CostLedger:
-    """Reconstruct the total ledger from a trace's per-step deltas."""
-    return sum((step_cost(step) for step in trace), CostLedger())
+    """Reconstruct the total ledger from a trace's per-step deltas in one pass."""
+    bonds = qubits = attempts = successes = 0
+    for b, q, a, s in map(step_cost, trace):
+        bonds += b
+        qubits += q
+        attempts += a
+        successes += s
+    return CostLedger(bonds, qubits, attempts, successes)
 
 
 def result_to_doc(result: RecipeResult) -> dict:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from clusterforge.fusion import merge_disjoint, type1_fuse
 from clusterforge.graphstate import (
+    _WorkingGraph,
     GraphState,
     OrbitLimitError,
     chain,
@@ -237,29 +238,31 @@ def _fusion_pairs(g, leaves_only):
     ]
 
 
-def _rewrite(g, op, i, j):
-    """Apply rewrite ``op`` to g, with i and j choosing where; None if it has no target."""
+def _rewrite(g, op, i, j, target=None):
+    """Apply rewrite ``op`` to target (g by default), with i and j choosing
+    where in g; None if it has no target."""
+    target = g if target is None else target
     verts = g.sorted_vertices()
     if op == "merge":
-        return merge_disjoint(g, chain(1 + i % 5, start=max(verts, default=0) + 1))
+        return merge_disjoint(target, chain(1 + i % 5, start=max(verts, default=0) + 1))
     if not verts:
         return None
     v = verts[i % len(verts)]
     if op == "lc":
-        return local_complement(g, v)
+        return local_complement(target, v)
     if op == "z":
-        return measure_z(g, v)
+        return measure_z(target, v)
     if op == "y":
-        return measure_y(g, v)
+        return measure_y(target, v)
     if op == "relabel":
-        return g.relabel({u: u + max(verts) + j for u in verts[i % len(verts) :]})
+        return target.relabel({u: u + max(verts) + j for u in verts[i % len(verts) :]})
     targets = _box_segments(g) if op == "box" else _fusion_pairs(g, op == "fuse")
     if not targets:
         return None
     if op == "box":
-        return chain_to_box(g, targets[i % len(targets)])
+        return chain_to_box(target, targets[i % len(targets)])
     a, b = targets[i % len(targets)]
-    return type1_fuse(g, a, b, forced="SF"[j % 2], allow_nonleaf=op == "fuse_nonleaf")[0]
+    return type1_fuse(target, a, b, forced="SF"[j % 2], allow_nonleaf=op == "fuse_nonleaf")[0]
 
 
 REWRITES = st.tuples(
@@ -285,6 +288,33 @@ def test_rewrites_carry_the_neighbour_map_exactly(n1, n2, program):
         g = _rewrite(g, op, i, j) or g
         assert g._adj == GraphState(g.vertices, g.edges)._adj, op
         assert all(u < v for u, v in g.edges), op
+
+
+@seed(9)
+@given(
+    st.integers(min_value=4, max_value=9),
+    st.integers(min_value=4, max_value=9),
+    st.lists(REWRITES.filter(lambda r: r[0] != "relabel"), max_size=14),
+)
+def test_the_working_graph_is_edited_as_the_immutable_rules_rewrite(n1, n2, program):
+    """Every rule applied in place to a working graph gives the graph it
+    returns for a GraphState, and the next fused id stays max + 1 when
+    the largest vertex is measured away."""
+    g = first = merge_disjoint(chain(n1), chain(n2, start=n1 + 1))
+    work = _WorkingGraph(g)
+    before = (g.vertices, g.edges, dict(g._adj))
+    for op, i, j in program:
+        out = _rewrite(g, op, i, j, target=work)
+        if out is None:
+            continue
+        assert out is work, op
+        g = _rewrite(g, op, i, j)
+        assert work.freeze() == g, op
+        if g.vertices:
+            assert work._fresh() == g._fresh(), op
+    frozen = work.freeze()
+    assert frozen._adj == GraphState(frozen.vertices, frozen.edges)._adj
+    assert (first.vertices, first.edges, first._adj) == before
 
 
 # -- serialization -----------------------------------------------------------

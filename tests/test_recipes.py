@@ -13,13 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_replays_exactly, assert_tableau_replay
-from clusterforge.fusion import CostLedger, RngStream
+from clusterforge import tableau as tb
+from clusterforge.fusion import CostLedger, RngStream, merge_disjoint, type1_fuse
 from clusterforge.montecarlo import run_recipe_trials
 from clusterforge.graphstate import (
     GraphState,
+    _WorkingGraph,
     chain,
+    chain_to_box,
+    graph_from_doc,
     isomorphic,
     lc_equivalent,
+    measure_y,
+    measure_z,
     path_vertices,
     ring,
     star,
@@ -328,6 +334,25 @@ def test_rewrites_build_no_neighbour_map_from_scratch(monkeypatch):
     assert count(lambda: ladder(30)) == 2
 
 
+def test_builds_freeze_the_whole_graph_a_fixed_number_of_times(monkeypatch):
+    """A recipe copies its working graph into an immutable graph only at
+    its ends, so the count is the same for 3 rungs as for 300: one
+    freeze per built result and one for the replay."""
+    freezes = []
+    freeze = _WorkingGraph.freeze
+    monkeypatch.setattr(_WorkingGraph, "freeze", lambda w: freezes.append(len(w.vertices)) or freeze(w))
+
+    def count(rungs: int) -> int:
+        freezes.clear()
+        n = 3 * rungs + 10
+        h = build_h_shape(chain(n), chain(n, start=n + 1), forced="S")
+        ladder = grow_ladder(h, [], rungs, forced=["S"] * rungs)
+        assert replay(result_to_doc(ladder)) == ladder
+        return len(freezes)
+
+    assert count(3) == count(300) == 3
+
+
 def test_depth_growth_frozen():
     res = grow_depth(h88(), chain(6, start=18), rng=None, forced="S")
     assert res.graph.neighbors(24) == {13, 19}
@@ -591,6 +616,83 @@ def test_forced_schedules_replay_exactly(name, schedule, seed):
     assert result_to_json(replay(json.loads(text))) == text
     assert trace_ledger(res.trace) == res.ledger
     assert_tableau_replay(res)
+
+
+def _fold(result: RecipeResult) -> GraphState:
+    """The result's graph rebuilt by folding its trace through the public
+    rewrite functions on immutable graphs, one new graph per step."""
+    g = result.initial
+    for step in result.trace:
+        op = step["op"]
+        if op == "box":
+            g = chain_to_box(g, tuple(step["segment"]))
+        elif op in ("measure_z", "measure_y"):
+            g = (measure_z if op == "measure_z" else measure_y)(g, step["vertex"])
+        elif op == "fuse":
+            g = type1_fuse(g, step["a"], step["b"], forced=step["outcome"],
+                           allow_nonleaf=step["allow_nonleaf"])[0]
+        elif op == "merge":
+            g = merge_disjoint(g, graph_from_doc(step))
+        elif op == "relabel":
+            g = g.relabel({int(k): v for k, v in step["mapping"].items()})
+        elif op == "drop_isolated":
+            for v in step["vertices"]:
+                g = g.without_vertex(v)
+        else:
+            order = g.sorted_vertices()
+            index = {v: i for i, v in enumerate(order)}
+            t = tb.from_graph(g)
+            for v in step["hadamards"]:
+                t = t.apply("H", index[v])
+            for a, b in step["swaps"]:
+                t = t.apply("SWAP", index[a], index[b])
+            g = tb.to_graph(t)[0].relabel(dict(enumerate(order)))
+    return g
+
+
+@pytest.mark.parametrize("name", ["H", "ladder", "depth", "join", "ring8"])
+@given(
+    schedule=st.lists(st.sampled_from(["S", "F"]), max_size=6),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=30)
+def test_in_place_builds_equal_the_immutable_fold(name, schedule, seed):
+    res = _forced_pipeline(name, schedule, seed)
+    assert _fold(res) == res.graph
+    assert res.graph._adj == GraphState(res.graph.vertices, res.graph.edges)._adj
+
+
+# Input result -> a recipe that resumes a builder from it.
+CONTINUATIONS = {
+    "ladder": (h88, lambda h, **kw: grow_ladder(h, [chain(4, start=30), chain(4, start=40)], 2, **kw)),
+    "depth": (h88, lambda h, **kw: grow_depth(h, chain(6, start=18), **kw)),
+    "join": (lambda: double_boxes()[0],
+             lambda x, **kw: join_double_boxes(x, double_boxes()[1], **kw)),
+    "close": (lambda: join_double_boxes(*double_boxes(), forced="S,F"), close_second_rung),
+    "salvage": (lambda: join_double_boxes(*double_boxes(), forced="F"), salvage_failed_join),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTINUATIONS))
+@given(
+    schedule=st.lists(st.sampled_from(["S", "F"]), max_size=6),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=20)
+def test_a_resumed_builder_never_changes_its_input(name, schedule, seed):
+    make, go_on = CONTINUATIONS[name]
+    source = make()
+    text, adj = result_to_json(source), dict(source.graph._adj)
+    runs = []
+    for _ in range(2):
+        try:
+            res = go_on(source, rng=RngStream(seed), forced=schedule)
+        except ResourcesExhaustedError as exc:
+            res = exc.partial
+        runs.append(result_to_json(res))
+    assert runs[0] == runs[1]
+    assert result_to_json(source) == text
+    assert source.graph._adj == adj
 
 
 def test_replay_recomputes_ledger():
