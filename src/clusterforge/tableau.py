@@ -1,24 +1,31 @@
 """Stabilizer tableau simulator (generators only, exact signs).
 
-Rows are stabilizer generators stored as X/Z bit matrices plus a sign
-bit per row; a row with bits (x, z) and sign s represents
-``s * prod_j P_j`` where P_j is the literal Pauli I, X, Y or Z at qubit
-j (Y where both bits are set).  Row products track phases exactly, so
-two tableaus describe the same state iff their canonical forms match
-byte for byte, signs included.
+Rows are stabilizer generators; a row with bits (x, z) and sign s
+represents ``s * prod_j P_j`` where P_j is the literal Pauli I, X, Y or Z
+at qubit j (Y where both bits are set).  Row products track phases
+exactly, so two tableaus describe the same state iff their canonical
+forms match byte for byte, signs included.
+
+The layout is Stim's (Gidney, *Quantum* 5, 497 (2021)), bit-packed by
+column: a list ``[x_0 .. x_{n-1}, z_0 .. z_{n-1}, signs]`` of Python
+ints, bit r of each for row r.  A gate on qubit q conjugates every row
+at once on columns x_q and z_q, so each single-qubit Clifford, CZ, CNOT
+and SWAP costs a few big-int operations on one or two qubits' columns.
+The rows that anticommute with a Pauli on k qubits are the XOR of k
+columns, and a row product changes only the columns where the source
+row is not the identity, its power of i counted per row by bit-sliced
+mod-4 counters (Aaronson & Gottesman, PRA 70, 052328 (2004)).  Each
+step of the measurement walk in :mod:`checks` gates or measures one or
+two qubits, so it touches their columns and the measured row, and a
+copy of the tableau is a copy of 2n + 1 references.
 
 Pauli letters, product phases and the action of every single-qubit
 gate come from :mod:`cliffords`; only CZ, CNOT and SWAP are written out.
-
 The public :class:`StabilizerTableau` constructor is the one place that
-validates (0/1 bits, shapes, commuting and independent generators).
-Gates, measurements, row reductions and graph states keep a valid group
-by construction (Aaronson & Gottesman, PRA 70, 052328 (2004)), so the
-tableaus built here skip that check.
-
-The graph extraction in :func:`to_graph` reduces any stabilizer state
-to a graph state plus per-qubit Clifford corrections and re-derives the
-input from its own answer as a self-check.
+validates (0/1 bits, shapes, commuting and independent generators);
+gates, measurements and row reductions keep a valid group by
+construction.  :func:`to_graph` reduces any state to a graph state plus
+per-qubit Clifford corrections and re-derives the input as a self-check.
 """
 
 from __future__ import annotations
@@ -31,18 +38,9 @@ from . import cliffords
 from .graphstate import GraphState
 
 __all__ = [
-    "PauliString",
-    "StabilizerTableau",
-    "from_graph",
-    "apply_clifford_op",
-    "measure_pauli",
-    "canonical_form",
-    "canonical_equal",
-    "to_graph",
-    "StabilizerContradictionError",
+    "PauliString", "StabilizerTableau", "from_graph", "apply_clifford_op", "measure_pauli",
+    "canonical_form", "canonical_equal", "to_graph", "StabilizerContradictionError",
 ]
-
-_TWO_GATES = ("CZ", "CNOT", "SWAP")
 
 
 class StabilizerContradictionError(ValueError):
@@ -64,7 +62,8 @@ class PauliString:
     def __post_init__(self) -> None:
         if len(self.x_bits) != len(self.z_bits):
             raise ValueError("x and z bit vectors differ in length")
-        if any(b not in (0, 1) for b in self.x_bits + self.z_bits):
+        bits = self.x_bits + self.z_bits  # counted at C speed, compared with ==
+        if bits.count(0) + bits.count(1) != len(bits):
             raise ValueError("bits must be 0 or 1")
         if self.sign not in (1, -1):
             raise ValueError(f"phase restricted to +-1, got {self.sign}")
@@ -87,9 +86,7 @@ class PauliString:
 
     @property
     def text(self) -> str:
-        body = "".join(
-            cliffords.PAULIS[x + 2 * z] for x, z in zip(self.x_bits, self.z_bits)
-        )
+        body = "".join(cliffords.PAULIS[x + 2 * z] for x, z in zip(self.x_bits, self.z_bits))
         return ("+" if self.sign == 1 else "-") + body
 
     @classmethod
@@ -107,14 +104,10 @@ class PauliString:
         return not any(self.x_bits) and not any(self.z_bits)
 
 
-def _phase_exponents(
-    x1: np.ndarray, z1: np.ndarray, x2: np.ndarray, z2: np.ndarray
-) -> np.ndarray:
-    """Power of i picked up when multiplying literal Paulis (x1,z1)*(x2,z2).
-
-    Sums over the last axis, so a stack of rows gives one power per row.
-    """
-    return cliffords.PHASE[x1 + 2 * z1, x2 + 2 * z2].sum(axis=-1) % 4
+def _ones(bits) -> list[int]:
+    """Positions of the 1 entries of a 0/1 sequence, found at C speed."""
+    i = -1
+    return [i := bits.index(1, i + 1) for _ in range(bits.count(1))]
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +117,13 @@ def _phase_exponents(
 class StabilizerTableau:
     """Immutable n-generator tableau for an n-qubit stabilizer state."""
 
-    __slots__ = ("n", "_x", "_z", "_neg")
+    __slots__ = ("n", "_cols")
 
     def __init__(self, x: np.ndarray, z: np.ndarray, neg: np.ndarray):
-        x, z, neg = _bits(x), _bits(z), _bits(neg)
+        x, z, neg = (np.asarray(a) for a in (x, z, neg))
+        if not all(np.all((a == 0) | (a == 1)) for a in (x, z, neg)):
+            raise ValueError("bits must be 0 or 1")
+        x, z, neg = (a.astype(np.uint8) for a in (x, z, neg))
         n = neg.size
         if x.shape != (n, n) or z.shape != (n, n) or neg.shape != (n,):
             raise ValueError("tableau arrays have inconsistent shapes")
@@ -136,31 +132,19 @@ class StabilizerTableau:
         xi, zi = x.astype(np.int64), z.astype(np.int64)
         if np.any((xi @ zi.T + zi @ xi.T) % 2):
             raise ValueError("generators do not commute pairwise")
+        cols = _pack(np.vstack((x.T, z.T, neg)))
         # Commuting rows keep every row product real, as _eliminate needs.
-        if _eliminate(x.copy(), z.copy(), neg.copy(), 2 * n) != n:
+        if _eliminate(list(cols), n, 2 * n, list(range(n))) != n:
             raise ValueError("generators are not independent")
-        self._adopt(x, z, neg)
+        self.n, self._cols = n, cols
 
     @classmethod
-    def _trusted(
-        cls, x: np.ndarray, z: np.ndarray, neg: np.ndarray
-    ) -> "StabilizerTableau":
-        """Skip validation for generators that are valid by construction.
-
-        Internal fast path for gates, measurements and row reductions;
-        the arrays must be 0/1 uint8 arrays of shapes (n, n), (n, n) and
-        (n,) holding n commuting, independent rows, and the result takes
-        ownership of them.
-        """
+    def _trusted(cls, n: int, cols: list[int]) -> "StabilizerTableau":
+        """No validation: ``cols`` holds the 2n + 1 column ints of n
+        commuting, independent rows, and the tableau takes the list over."""
         self = object.__new__(cls)
-        self._adopt(x, z, neg)
+        self.n, self._cols = n, cols
         return self
-
-    def _adopt(self, x: np.ndarray, z: np.ndarray, neg: np.ndarray) -> None:
-        self.n = x.shape[0]
-        self._x, self._z, self._neg = x, z, neg
-        for arr in (x, z, neg):
-            arr.setflags(write=False)
 
     # -- construction helpers --------------------------------------------
 
@@ -168,70 +152,53 @@ class StabilizerTableau:
     def from_rows(cls, rows: list[PauliString]) -> "StabilizerTableau":
         if not rows:
             raise ValueError("tableau needs at least one qubit")
-        x = np.array([r.x_bits for r in rows], dtype=np.uint8)
-        z = np.array([r.z_bits for r in rows], dtype=np.uint8)
-        neg = np.array([0 if r.sign == 1 else 1 for r in rows], dtype=np.uint8)
-        return cls(x, z, neg)
+        return cls([r.x_bits for r in rows], [r.z_bits for r in rows], [r.sign < 0 for r in rows])
 
     @property
     def rows(self) -> list[PauliString]:
-        return [
-            PauliString(
-                tuple(int(b) for b in self._x[i]),
-                tuple(int(b) for b in self._z[i]),
-                -1 if self._neg[i] else 1,
-            )
-            for i in range(self.n)
-        ]
+        n = self.n
+        bits = _unpack(self._cols, n)
+        x, z, neg = bits[:n].T.tolist(), bits[n : 2 * n].T.tolist(), bits[2 * n]
+        return [PauliString(tuple(x[i]), tuple(z[i]), -1 if neg[i] else 1) for i in range(n)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StabilizerTableau):
             return NotImplemented
-        return (
-            self.n == other.n
-            and np.array_equal(self._x, other._x)
-            and np.array_equal(self._z, other._z)
-            and np.array_equal(self._neg, other._neg)
-        )
+        return self.n == other.n and self._cols == other._cols
 
-    def __hash__(self):  # pragma: no cover - mutability guard only
-        return hash(
-            (self._x.tobytes(), self._z.tobytes(), self._neg.tobytes())
-        )
+    def __hash__(self):  # pragma: no cover - immutable, so hashable
+        return hash(tuple(self._cols))
 
     # -- gates -------------------------------------------------------------
 
     def apply(self, gate: str, *qubits: int) -> "StabilizerTableau":
         """Conjugate every generator by a named Clifford gate."""
-        x, z, neg = self._x.copy(), self._z.copy(), self._neg.copy()
+        n, cols = self.n, list(self._cols)
         gate = gate.upper()
         if gate in cliffords.GATES:
             if len(qubits) != 1:
                 raise ValueError(f"{gate} takes one qubit")
             (q,) = qubits
             self._check_qubit(q)
-            _conjugate_column(x, z, neg, q, gate)
-        elif gate in _TWO_GATES:
+            _conjugate(cols, n, q, gate)
+        elif gate in ("CZ", "CNOT", "SWAP"):
             if len(qubits) != 2 or qubits[0] == qubits[1]:
                 raise ValueError(f"{gate} takes two distinct qubits")
             a, b = qubits
             self._check_qubit(a)
             self._check_qubit(b)
+            xa, za, xb, zb = cols[a], cols[n + a], cols[b], cols[n + b]
             if gate == "CZ":
-                neg ^= x[:, a] & x[:, b] & (z[:, a] ^ z[:, b])
-                z[:, b] = z[:, b] ^ x[:, a]
-                z[:, a] = z[:, a] ^ x[:, b]
+                cols[-1] ^= xa & xb & (za ^ zb)
+                cols[n + a], cols[n + b] = za ^ xb, zb ^ xa
             elif gate == "CNOT":
-                c, t = a, b
-                neg ^= x[:, c] & z[:, t] & (x[:, t] ^ z[:, c] ^ 1)
-                x[:, t] = x[:, t] ^ x[:, c]
-                z[:, c] = z[:, c] ^ z[:, t]
-            elif gate == "SWAP":
-                x[:, [a, b]] = x[:, [b, a]]
-                z[:, [a, b]] = z[:, [b, a]]
+                cols[-1] ^= xa & zb & ~(xb ^ za)
+                cols[b], cols[n + a] = xb ^ xa, za ^ zb
+            else:
+                cols[a], cols[b], cols[n + a], cols[n + b] = xb, xa, zb, za
         else:
             raise ValueError(f"unknown gate: {gate!r}")
-        return StabilizerTableau._trusted(x, z, neg)
+        return StabilizerTableau._trusted(n, cols)
 
     def _check_qubit(self, q: int) -> None:
         if not 0 <= q < self.n:
@@ -242,78 +209,119 @@ class StabilizerTableau:
         return "\n".join(r.text for r in canonical_form(self).rows) + "\n"
 
 
-def _bits(a) -> np.ndarray:
-    arr = np.asarray(a)
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ValueError("bits must be 0 or 1")
-    return arr.astype(np.uint8)
+def _pack(bits: np.ndarray) -> list[int]:
+    """Each row of a 0/1 matrix as one int, bit j from column j."""
+    width = bits.shape[1]
+    padded = np.zeros((len(bits), -(-width // 64) * 64), dtype=np.uint8)
+    padded[:, :width] = bits
+    words = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    ints = words[:, -1].tolist()
+    for i in range(words.shape[1] - 2, -1, -1):  # lower 64-bit words, high to low
+        ints = [hi << 64 | lo for hi, lo in zip(ints, words[:, i].tolist())]
+    return ints
 
 
-def _column_action(op: "cliffords.CliffordOp") -> np.ndarray:
-    """table[x, z] = (x', z', sign flip) of the Pauli with bits (x, z) under op."""
-    table = np.zeros((2, 2, 3), dtype=np.uint8)
-    for code, letter in enumerate(cliffords.PAULIS):
-        image, sign = op.conjugate(letter)
-        k = cliffords.PAULIS.index(image)
-        table[code & 1, code >> 1] = (k & 1, k >> 1, sign < 0)
-    return table
+def _unpack(cols: list[int], width: int) -> np.ndarray:
+    """The 0/1 uint8 matrix whose row i holds the low ``width`` bits of cols[i]."""
+    nbytes = -(-width // 8)
+    buf = b"".join([c.to_bytes(nbytes, "little") for c in cols])
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(cols), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
+def _column_action(op: "cliffords.CliffordOp") -> tuple[int, ...]:
+    """Masks (0 or -1) for x' = x&ax ^ z&bx, z' = x&az ^ z&bz and the sign
+    flips of rows holding X, Z and Y at the qubit, under conjugation by op."""
+    (kx, sx), (kz, sz), (_, sy) = (op.conjugate(letter) for letter in "XZY")
+    kx, kz = cliffords.PAULIS.index(kx), cliffords.PAULIS.index(kz)
+    return -(kx & 1), -(kz & 1), -(kx >> 1), -(kz >> 1), -(sx < 0), -(sz < 0), -(sy < 0)
 
 
 # Keyed by H/S label and by gate name; the two agree on "H" and "S".
 _ACTION = {label: _column_action(op) for label, op in cliffords.BY_LABEL.items()}
 _ACTION.update((name, _column_action(op)) for name, op in cliffords.GATES.items())
 
+# For a source letter b, the destination letter a with P_a * P_b = -i P.
+_MINUS = {b: next(a for a in range(4) if cliffords.PHASE[a, b] == 3) for b in (1, 2, 3)}
 
-def _conjugate_column(x, z, neg, q: int, name: str) -> None:
+
+def _conjugate(cols: list[int], n: int, q: int, name: str) -> None:
     """In place: conjugate qubit q of every row by a Clifford label or gate name."""
-    new = _ACTION[name][x[:, q], z[:, q]]
-    x[:, q], z[:, q] = new[:, 0], new[:, 1]
-    neg ^= new[:, 2]
+    ax, bx, az, bz, fx, fz, fy = _ACTION[name]
+    x, z = cols[q], cols[n + q]
+    y = x & z
+    cols[q], cols[n + q] = (x & ax) ^ (z & bx), (x & az) ^ (z & bz)
+    cols[-1] ^= ((x ^ y) & fx) ^ ((z ^ y) & fz) ^ (y & fy)
 
 
-def _row_mult(
-    x: np.ndarray, z: np.ndarray, neg: np.ndarray, dst, src: int
-) -> None:
-    """In place: every row in ``dst`` *= row src, with exact sign tracking."""
-    if not len(dst):
-        return
-    dst = np.asarray(dst)
-    xd, zd, xs, zs = x[dst], z[dst], x[src], z[src]
-    exp = _phase_exponents(xd, zd, xs, zs)
-    if (exp & 1).any():
+def _row_mult(cols: list[int], n: int, dst: int, src: int) -> list[int]:
+    """In place: every row in the mask ``dst`` *= row ``src``, with exact signs.
+
+    Only the columns of the qubits where row src is not the identity
+    change, and those qubits are returned.  Each of them multiplies a
+    row's phase by +-i or 1: two counter bits per row count the factors
+    of i mod 4, one more the minus signs.
+    """
+    count = carry = minus = 0
+    support = [q for q in range(n) if (cols[q] | cols[n + q]) >> src & 1]
+    for q in support:
+        x, z = cols[q], cols[n + q]
+        code = (x >> src & 1) | (z >> src & 1) << 1
+        xd, zd = x & dst, z & dst
+        yd = xd & zd
+        letters = (0, xd ^ yd, zd ^ yd, yd)
+        hit = (xd | zd) ^ letters[code]  # every letter but I and the source's
+        carry ^= count & hit
+        count ^= hit
+        minus ^= letters[_MINUS[code]]
+        if code & 1:
+            cols[q] = x ^ dst
+        if code & 2:
+            cols[n + q] = z ^ dst
+    if count:
         raise AssertionError("product of commuting rows must have a real sign")
-    neg[dst] ^= (exp >> 1).astype(np.uint8) ^ neg[src]
-    x[dst] = xd ^ xs
-    z[dst] = zd ^ zs
+    cols[-1] ^= carry ^ minus ^ (dst if cols[-1] >> src & 1 else 0)
+    return support
 
 
-def _eliminate(x: np.ndarray, z: np.ndarray, neg: np.ndarray, ncols: int) -> int:
+def _eliminate(cols: list[int], n: int, ncols: int, order: list[int]) -> int:
     """In place: sign-tracked reduced row echelon form; returns the rank.
 
     Columns run X block first, then Z block, and only the first
-    ``ncols`` of them are reduced.  Each pivot is the first row at or
-    below the current rank with the bit set, swapped up and cleared from
-    every other row.  Rows must commute pairwise; there may be more rows
-    than qubits, and the dependent ones end up zero below the rank.
+    ``ncols`` of them are reduced.  ``order`` lists the physical rows in
+    their logical order and is permuted in place instead of moving bits:
+    each pivot is the first row at or below the current rank (in that
+    order) with the bit set, swapped up and cleared from every other
+    row.  Rows must commute pairwise; there may be more rows than
+    qubits, and the dependent ones end up zero below the rank.
     """
-    rows, n = x.shape
+    rows = len(order)
+    free = (1 << rows) - 1  # rows not yet pivots
     rank = 0
-    for col in range(ncols):
-        block, c = (x, col) if col < n else (z, col - n)
-        bits = block[:, c].tolist()
-        pivot = next((r for r in range(rank, rows) if bits[r]), None)
-        if pivot is None:
+    for c in range(ncols):
+        cand = cols[c] & free
+        if not cand:
             continue
-        if pivot != rank:
-            for arr in (x, z, neg):
-                arr[[rank, pivot]] = arr[[pivot, rank]]
-            bits[rank], bits[pivot] = bits[pivot], bits[rank]
-        if sum(bits) > 1:
-            _row_mult(x, z, neg, [r for r in range(rows) if bits[r] and r != rank], rank)
+        k = rank
+        while not cand >> order[k] & 1:
+            k += 1
+        pivot = order[k]
+        order[rank], order[k] = pivot, order[rank]
+        free ^= 1 << pivot
+        others = cols[c] ^ (1 << pivot)
+        if others:
+            _row_mult(cols, n, others, pivot)
         rank += 1
         if rank == rows:
             break
     return rank
+
+
+def _in_order(cols: list[int], rows: int, order: list[int]) -> list[int]:
+    """The columns with their rows moved to ``order`` (row k <- row order[k])."""
+    if order == list(range(len(order))):
+        return cols
+    return _pack(_unpack(cols, rows)[:, order])
 
 
 # ---------------------------------------------------------------------------
@@ -328,37 +336,29 @@ def from_graph(g: GraphState) -> StabilizerTableau:
         raise ValueError("tableau needs at least one qubit")
     pos = {v: i for i, v in enumerate(verts)}
     n = len(verts)
-    x = np.zeros((n, n), dtype=np.uint8)
-    z = np.zeros((n, n), dtype=np.uint8)
-    for v in verts:
-        i = pos[v]
-        x[i, i] = 1
-        for u in g.neighbors(v):
-            z[i, pos[u]] = 1
-    return StabilizerTableau._trusted(x, z, np.zeros(n, dtype=np.uint8))
+    z = [0] * n  # symmetric: column u holds the rows of u's neighbours
+    for u, v in g.edges:
+        z[pos[u]] |= 1 << pos[v]
+        z[pos[v]] |= 1 << pos[u]
+    return StabilizerTableau._trusted(n, [1 << i for i in range(n)] + z + [0])
 
 
-def apply_clifford_op(
-    t: StabilizerTableau, op: "cliffords.CliffordOp | str", q: int
-) -> StabilizerTableau:
+def apply_clifford_op(t: StabilizerTableau, op: "cliffords.CliffordOp | str",
+                      q: int) -> StabilizerTableau:
     """Apply one of the 24 single-qubit Cliffords, named by its H/S word."""
     label = op if isinstance(op, str) else op.label
     if label not in cliffords.BY_LABEL:
         raise ValueError(f"unknown Clifford label: {label!r}")
+    t._check_qubit(q)
     if label == "I":
         return t
-    t._check_qubit(q)
-    x, z, neg = t._x.copy(), t._z.copy(), t._neg.copy()
-    _conjugate_column(x, z, neg, q, label)
-    return StabilizerTableau._trusted(x, z, neg)
+    cols = list(t._cols)
+    _conjugate(cols, t.n, q, label)
+    return StabilizerTableau._trusted(t.n, cols)
 
 
-def measure_pauli(
-    t: StabilizerTableau,
-    p: PauliString,
-    forced: int | None = None,
-    rng=None,
-) -> tuple[StabilizerTableau, int, bool]:
+def measure_pauli(t: StabilizerTableau, p: PauliString, forced: int | None = None,
+                  rng=None) -> tuple[StabilizerTableau, int, bool]:
     """Measure a Pauli observable; returns (tableau, outcome, was_deterministic).
 
     Random outcomes need ``rng`` (anything with a ``next_bool()``);
@@ -373,36 +373,41 @@ def measure_pauli(
     if forced is not None and forced not in (1, -1):
         raise ValueError(f"forced outcome must be +1 or -1, got {forced}")
 
-    px = np.array(p.x_bits, dtype=np.uint8)
-    pz = np.array(p.z_bits, dtype=np.uint8)
+    n, cols = t.n, list(t._cols)
+    px, pz = _ones(p.x_bits), _ones(p.z_bits)
     # Work against the positive operator; fold p's sign into the outcome.
     forced_pos = None if forced is None else forced * p.sign
+    anti = 0  # rows that anticommute with p
+    for q in px:
+        anti ^= cols[n + q]
+    for q in pz:
+        anti ^= cols[q]
+    # The row p takes: if random, the first anticommuting row, after it is
+    # multiplied into the others; if deterministic, a new row n.
+    bit = anti & -anti if anti else 1 << n
+    if anti:
+        for q in _row_mult(cols, n, anti ^ bit, bit.bit_length() - 1):
+            cols[q] &= ~bit
+            cols[n + q] &= ~bit
+    for q in px:
+        cols[q] |= bit
+    for q in pz:
+        cols[n + q] |= bit
 
-    anti = (t._x @ pz.astype(np.int64) + t._z @ px.astype(np.int64)) % 2
-
-    if anti.any():
-        x, z, neg = t._x.copy(), t._z.copy(), t._neg.copy()
-        hits = np.flatnonzero(anti)
-        pivot = int(hits[0])
-        _row_mult(x, z, neg, hits[1:], pivot)
+    if anti:
         if forced_pos is None:
             if rng is None:
                 raise ValueError("random outcome requires an rng")
-            outcome_pos = 1 if rng.next_bool() else -1
-        else:
-            outcome_pos = forced_pos
-        x[pivot] = px
-        z[pivot] = pz
-        neg[pivot] = 0 if outcome_pos == 1 else 1
-        return StabilizerTableau._trusted(x, z, neg), outcome_pos * p.sign, False
+            forced_pos = 1 if rng.next_bool() else -1
+        cols[-1] = cols[-1] & ~bit if forced_pos == 1 else cols[-1] | bit
+        return StabilizerTableau._trusted(n, cols), forced_pos * p.sign, False
 
-    # Deterministic: p is a signed product of generators.  Reduced under
-    # them, its row is the one left zero, signed with p's eigenvalue.
-    x, z = np.vstack((t._x, px)), np.vstack((t._z, pz))
-    neg = np.append(t._neg, np.uint8(0))
-    if _eliminate(x, z, neg, 2 * t.n) != t.n:
+    # Deterministic: p is a signed product of generators, so its row is
+    # the one left zero, signed with p's eigenvalue.
+    order = list(range(n + 1))
+    if _eliminate(cols, n, 2 * n, order) != n:
         raise AssertionError("operator commutes with the stabilizer but is not in it")
-    outcome_pos = -1 if neg[t.n] else 1
+    outcome_pos = -1 if cols[-1] >> order[n] & 1 else 1
     if forced_pos is not None and forced_pos != outcome_pos:
         raise StabilizerContradictionError(
             f"contradicts stabilizer: forced {forced:+d} but outcome is fixed "
@@ -418,16 +423,14 @@ def canonical_form(t: StabilizerTableau) -> StabilizerTableau:
     describe the same stabilizer group with the same signs iff their
     canonical forms are identical.
     """
-    x, z, neg = t._x.copy(), t._z.copy(), t._neg.copy()
-    _eliminate(x, z, neg, 2 * t.n)
-    return StabilizerTableau._trusted(x, z, neg)
+    cols, order = list(t._cols), list(range(t.n))
+    _eliminate(cols, t.n, 2 * t.n, order)
+    return StabilizerTableau._trusted(t.n, _in_order(cols, t.n, order))
 
 
 def canonical_equal(t1: StabilizerTableau, t2: StabilizerTableau) -> bool:
     """Same state, signs included."""
-    if t1.n != t2.n:
-        return False
-    return canonical_form(t1) == canonical_form(t2)
+    return t1.n == t2.n and canonical_form(t1) == canonical_form(t2)
 
 
 def to_graph(t: StabilizerTableau) -> tuple[GraphState, dict[int, str]]:
@@ -435,47 +438,43 @@ def to_graph(t: StabilizerTableau) -> tuple[GraphState, dict[int, str]]:
 
     Returns (g, frame) with the state of ``t`` equal to the frame
     applied to the graph state of ``g`` (vertices are qubit indices).
-    The derivation is re-checked internally via canonical_equal before
-    returning.
+    The derivation is re-checked via canonical_equal before returning.
     """
     n = t.n
-    x, z, neg = t._x.copy(), t._z.copy(), t._neg.copy()
+    cols, order = list(t._cols), list(range(n))
     applied = [cliffords.IDENTITY] * n  # per qubit, the product of its gates
 
     def conjugate(q: int, gate: str) -> None:
-        _conjugate_column(x, z, neg, q, gate)
+        _conjugate(cols, n, q, gate)
         applied[q] = cliffords.compose(cliffords.GATES[gate], applied[q])
 
     # Hadamards until the X block has full rank.  A rank-deficient RREF
     # leaves pure-Z rows whose support avoids all X pivot columns, so
     # converting any support column makes the rank grow.
-    while (rank := _eliminate(x, z, neg, n)) < n:
-        support = np.nonzero(z[rank])[0]  # first pure-Z row
-        if not support.size:
+    while (rank := _eliminate(cols, n, n, order)) < n:
+        q = next((q for q in range(n) if cols[n + q] >> order[rank] & 1), None)  # first pure-Z row
+        if q is None:
             raise AssertionError("identity row in an independent tableau")
-        conjugate(int(support[0]), "H")
+        conjugate(q, "H")
+    cols = _in_order(cols, n, order)
 
     # X block is now the identity; the Z block must be symmetric.
-    if not np.array_equal(x, np.eye(n, dtype=np.uint8)):
+    if cols[:n] != [1 << q for q in range(n)]:
         raise AssertionError("full-rank X block must reduce to the identity")
+    z = _unpack(cols[n : 2 * n], n)  # z[j, i]: row i has Z at qubit j
     if not np.array_equal(z, z.T):
         raise AssertionError("commuting rows force a symmetric Z block")
 
     for q in range(n):
+        # Y at the diagonal: S-dagger turns it into X, with no sign flip, and
+        # leaves the other rows alone, whose X part vanishes at q.  Row q is
+        # then the only one with X at q, so Z flips its sign alone.
         if z[q, q]:
-            # Y at the diagonal: S-dagger turns it into X, with no sign flip,
-            # and leaves the other rows alone, whose X part vanishes at q.
             conjugate(q, "SDG")
-
-    for q in range(n):
-        if neg[q]:
-            # Row q is the only one with X at q, so Z flips its sign alone.
+        if cols[-1] >> q & 1:
             conjugate(q, "Z")
 
-    edges = {
-        (i, j) for i in range(n) for j in range(i + 1, n) if z[i, j]
-    }
-    g = GraphState(frozenset(range(n)), frozenset(edges))
+    g = GraphState(range(n), np.argwhere(np.triu(z, 1)).tolist())
 
     frame = {q: cliffords.inverse(op).label
              for q, op in enumerate(applied) if op != cliffords.IDENTITY}

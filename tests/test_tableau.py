@@ -38,8 +38,13 @@ def test_pauli_text_round_trip():
 def test_pauli_validation():
     with pytest.raises(ValueError, match="differ in length"):
         PauliString((1,), (0, 0))
-    with pytest.raises(ValueError, match="bits must be 0 or 1"):
-        PauliString((2,), (0,))
+    for bit in (True, np.uint8(1)):
+        assert PauliString((bit, 0), (0, bit)).text == "+XZ"
+    for junk in (2, 0.5, -1, [1]):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            PauliString((junk,), (0,))
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            PauliString((0,), (junk,))
     with pytest.raises(ValueError, match="phase restricted"):
         PauliString((1,), (0,), sign=1j)
     with pytest.raises(ValueError, match="not a Pauli letter"):
@@ -183,6 +188,13 @@ def test_apply_clifford_op_word_order():
     assert apply_clifford_op(t, "I", 0) is t
     with pytest.raises(ValueError, match="unknown Clifford label"):
         apply_clifford_op(t, "Q", 0)
+
+
+@pytest.mark.parametrize("label", ["I", "H", "HS"])
+@pytest.mark.parametrize("q", [1, -1])
+def test_apply_clifford_op_checks_the_qubit_for_every_label(label, q):
+    with pytest.raises(ValueError, match=f"no such qubit: {q}"):
+        apply_clifford_op(PLUS, label, q)
 
 
 # -- measurement -------------------------------------------------------------
