@@ -4,9 +4,9 @@ A local frame attaches one of the 24 single-qubit Cliffords to a vertex,
 recording how the simulated state differs from the canonical graph state
 of the current graph.  Each operator is represented by its conjugation
 action on the Pauli axes, through which the stabilizer tableau applies
-every single-qubit gate; a 2x2 matrix is available for statevector
-checks.  This module also holds the one Pauli encoding (``PAULIS``) and
-product-phase table (``PHASE``).
+every single-qubit gate.  This module also holds the one Pauli encoding
+(``PAULIS``) and product-phase table (``PHASE``).  It loads no numpy:
+``matrix``, the 2x2 matrix for statevector checks, imports the oracle.
 
 Labels are canonical shortest words in the generators H and S, found by
 breadth-first search from the identity.  A word is read as a matrix
@@ -17,8 +17,6 @@ product, so "HS" means S is applied to the state first, then H.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "PAULIS",
@@ -32,14 +30,13 @@ __all__ = [
     "inverse",
     "compose_labels",
     "matrix",
-    "MAT",
 ]
 
 # A literal Pauli with X bit x and Z bit z is PAULIS[x + 2z].
 PAULIS = "IXZY"
-# PHASE[a, b]: power of i in P_a * P_b, whose letter is PAULIS[a ^ b]
+# PHASE[a][b]: power of i in P_a * P_b, whose letter is PAULIS[a ^ b]
 # (X*Z = -iY, X*Y = iZ, Z*Y = -iX, ...).
-PHASE = np.array([[0, 0, 0, 0], [0, 0, 3, 1], [0, 1, 0, 3], [0, 3, 1, 0]])
+PHASE = ((0, 0, 0, 0), (0, 0, 3, 1), (0, 1, 0, 3), (0, 3, 1, 0))
 
 
 @dataclass(frozen=True)
@@ -67,7 +64,7 @@ class CliffordOp:
         if pauli == "Y":
             # U Y U+ = i (U X U+)(U Z U+), and i * i^k is real for odd k.
             a, b = PAULIS.index(self.x_to), PAULIS.index(self.z_to)
-            k = PHASE[a, b]
+            k = PHASE[a][b]
             if k % 2 == 0:
                 raise AssertionError("conjugated Y must carry a real sign")
             return PAULIS[a ^ b], sign * self.x_sign * self.z_sign * (-1 if k == 1 else 1)
@@ -132,20 +129,11 @@ def compose_labels(outer: str, inner: str) -> str:
     return compose(BY_LABEL[outer], BY_LABEL[inner]).label
 
 
-MAT = {
-    "I": np.eye(2, dtype=complex),
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+def matrix(op: CliffordOp | str):
+    """2x2 unitary (up to global phase) from the label word, as a new numpy array."""
+    from .oracle import MAT
 
-
-def matrix(op: CliffordOp | str) -> np.ndarray:
-    """2x2 unitary for a Clifford (up to global phase), from its label word."""
-    label = op if isinstance(op, str) else op.label
-    out = np.eye(2, dtype=complex)
-    for ch in label:
+    out = MAT["I"].copy()
+    for ch in op if isinstance(op, str) else op.label:
         out = out @ MAT[ch]
     return out

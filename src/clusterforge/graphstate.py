@@ -28,6 +28,8 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
 
+from . import cliffords
+
 __all__ = [
     "GraphState",
     "chain",
@@ -507,8 +509,6 @@ def frame_to_doc(g: GraphState, frame: Mapping[int, str]) -> dict[str, str]:
 def frame_from_doc(g: GraphState, doc: Mapping[str, str]) -> dict[int, str]:
     """Inverse of :func:`frame_to_doc`; every key must be a vertex of g and
     every label one of the 24 Clifford labels."""
-    from . import cliffords
-
     frame: dict[int, str] = {}
     for key, label in doc.items():
         v = int(key)

@@ -18,6 +18,7 @@ import numpy as np
 from .graphstate import GraphState
 
 __all__ = [
+    "MAT",
     "StateVector",
     "ORACLE_QUBIT_LIMIT",
     "OracleLimitError",
@@ -34,6 +35,15 @@ _PROB_FLOOR = 1e-12
 # A Pauli on one qubit: X and Y swap the qubit's two halves; then each half gets a phase.
 _PAULI_PHASE = {"X": np.array([[1], [1]]), "Y": np.array([[-1j], [1j]]),
                 "Z": np.array([[1], [-1]])}
+# The generators and Paulis as 2x2 matrices; cliffords.matrix multiplies them out.
+MAT = {
+    "I": np.eye(2, dtype=complex),
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
 class OracleLimitError(ValueError):

@@ -30,7 +30,6 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import cliffords
-from . import tableau as tb
 from .fusion import CostLedger, FusionOutcome, RngStream, merge_disjoint, step_cost, type1_fuse
 from .graphstate import (
     GraphState,
@@ -258,9 +257,11 @@ class _Builder:
     def tableau_rewrite(self, hadamards: Sequence[int], swaps: Sequence[tuple[int, int]]) -> None:
         """Apply Hadamards and label swaps exactly, re-extracting the graph.
 
-        Runs through the stabilizer tableau so any residual corrections
-        land in the frame instead of being silently dropped.
+        Runs through the stabilizer tableau (imported here, with numpy) so any
+        residual corrections land in the frame instead of being dropped.
         """
+        from . import tableau as tb
+
         if self.frame:
             raise ValueError("tableau rewrite requires an empty frame")
         g = self.graph

@@ -242,7 +242,7 @@ _ACTION = {label: _column_action(op) for label, op in cliffords.BY_LABEL.items()
 _ACTION.update((name, _column_action(op)) for name, op in cliffords.GATES.items())
 
 # For a source letter b, the destination letter a with P_a * P_b = -i P.
-_MINUS = {b: next(a for a in range(4) if cliffords.PHASE[a, b] == 3) for b in (1, 2, 3)}
+_MINUS = {b: next(a for a in range(4) if cliffords.PHASE[a][b] == 3) for b in (1, 2, 3)}
 
 
 def _conjugate(cols: list[int], n: int, q: int, name: str) -> None:

@@ -10,13 +10,15 @@ from clusterforge.cliffords import (
     ALL_OPS,
     BY_LABEL,
     IDENTITY,
-    MAT,
+    PAULIS,
+    PHASE,
     CliffordOp,
     compose,
     compose_labels,
     inverse,
     matrix,
 )
+from clusterforge.oracle import MAT
 
 ops = st.sampled_from(ALL_OPS)
 
@@ -131,3 +133,83 @@ def test_ops_hashable_and_frozen():
     with pytest.raises(AttributeError):
         ALL_OPS[0].x_to = "Y"
     assert CliffordOp("Z", 1, "X", 1) == BY_LABEL["H"]
+
+
+# matrix(label).tobytes().hex() for every label: complex128, row-major,
+# little-endian.  Regenerate only for an intended change of the matrices.
+MATRIX_BYTES = {
+    "I": "000000000000f03f000000000000000000000000000000000000000000000000"
+         "00000000000000000000000000000000000000000000f03f0000000000000000",
+    "H": "cc3b7f669ea0e63f0000000000000000cc3b7f669ea0e63f0000000000000000"
+         "cc3b7f669ea0e63f0000000000000000cc3b7f669ea0e6bf0000000000000000",
+    "S": "000000000000f03f000000000000000000000000000000000000000000000000"
+         "000000000000000000000000000000000000000000000000000000000000f03f",
+    "HS": "cc3b7f669ea0e63f00000000000000000000000000000000cc3b7f669ea0e63f"
+          "cc3b7f669ea0e63f00000000000000000000000000000000cc3b7f669ea0e6bf",
+    "SH": "cc3b7f669ea0e63f0000000000000000cc3b7f669ea0e63f0000000000000000"
+          "0000000000000000cc3b7f669ea0e63f0000000000000000cc3b7f669ea0e6bf",
+    "SS": "000000000000f03f000000000000000000000000000000000000000000000000"
+          "00000000000000000000000000000000000000000000f0bf0000000000000000",
+    "HSH": "feffffffffffdf3ffeffffffffffdf3ffeffffffffffdf3ffeffffffffffdfbf"
+           "feffffffffffdf3ffeffffffffffdfbffeffffffffffdf3ffeffffffffffdf3f",
+    "HSS": "cc3b7f669ea0e63f0000000000000000cc3b7f669ea0e6bf0000000000000000"
+           "cc3b7f669ea0e63f0000000000000000cc3b7f669ea0e63f0000000000000000",
+    "SHS": "cc3b7f669ea0e63f00000000000000000000000000000000cc3b7f669ea0e63f"
+           "0000000000000000cc3b7f669ea0e63fcc3b7f669ea0e63f0000000000000000",
+    "SSH": "cc3b7f669ea0e63f0000000000000000cc3b7f669ea0e63f0000000000000000"
+           "cc3b7f669ea0e6bf0000000000000000cc3b7f669ea0e63f0000000000000000",
+    "SSS": "000000000000f03f000000000000000000000000000000000000000000000000"
+           "000000000000008000000000000000000000000000000000000000000000f0bf",
+    "HSHS": "feffffffffffdf3ffeffffffffffdf3ffeffffffffffdf3ffeffffffffffdf3f"
+            "feffffffffffdf3ffeffffffffffdfbffeffffffffffdfbffeffffffffffdf3f",
+    "HSSH": "40aa7ec9cbca79bc0000000000000000feffffffffffef3f0000000000000000"
+            "feffffffffffef3f000000000000000040aa7ec9cbca79bc0000000000000000",
+    "HSSS": "cc3b7f669ea0e63f00000000000000000000000000000000cc3b7f669ea0e6bf"
+            "cc3b7f669ea0e63f00000000000000000000000000000000cc3b7f669ea0e63f",
+    "SHSS": "cc3b7f669ea0e63f0000000000000000cc3b7f669ea0e6bf0000000000000000"
+            "0000000000000000cc3b7f669ea0e63f0000000000000000cc3b7f669ea0e63f",
+    "SSHS": "cc3b7f669ea0e63f00000000000000000000000000000000cc3b7f669ea0e63f"
+            "cc3b7f669ea0e6bf00000000000000000000000000000000cc3b7f669ea0e63f",
+    "HSHSS": "feffffffffffdf3ffeffffffffffdf3ffeffffffffffdfbffeffffffffffdf3f"
+             "feffffffffffdf3ffeffffffffffdfbffeffffffffffdfbffeffffffffffdfbf",
+    "HSSHS": "40aa7ec9cbca79bc00000000000000000000000000000000feffffffffffef3f"
+             "feffffffffffef3f0000000000000000000000000000000040aa7ec9cbca79bc",
+    "SHSSH": "40aa7ec9cbca79bc0000000000000000feffffffffffef3f0000000000000000"
+             "0000000000000000feffffffffffef3f000000000000000040aa7ec9cbca79bc",
+    "SHSSS": "cc3b7f669ea0e63f00000000000000000000000000000000cc3b7f669ea0e6bf"
+             "0000000000000000cc3b7f669ea0e63fcc3b7f669ea0e6bf0000000000000000",
+    "SSHSS": "cc3b7f669ea0e63f0000000000000000cc3b7f669ea0e6bf0000000000000000"
+             "cc3b7f669ea0e6bf0000000000000000cc3b7f669ea0e6bf0000000000000000",
+    "HSHSSH": "30effc9979827a3ccb3b7f669ea0e63fcb3b7f669ea0e63f30effc9979827a3c"
+              "30effc9979827a3ccb3b7f669ea0e6bfcb3b7f669ea0e63f30effc9979827abc",
+    "HSHSSS": "feffffffffffdf3ffeffffffffffdf3ffeffffffffffdfbffeffffffffffdfbf"
+              "feffffffffffdf3ffeffffffffffdfbffeffffffffffdf3ffeffffffffffdfbf",
+    "HSSHSS": "40aa7ec9cbca79bc0000000000000000feffffffffffefbf0000000000000000"
+              "feffffffffffef3f000000000000000040aa7ec9cbca793c0000000000000000",
+}
+
+
+def test_matrices_match_the_committed_bytes():
+    assert set(MATRIX_BYTES) == set(BY_LABEL)
+    for label, want in MATRIX_BYTES.items():
+        u = matrix(label)
+        assert u.dtype == np.complex128 and u.shape == (2, 2), label
+        assert u.tobytes().hex() == want, label
+        assert matrix(BY_LABEL[label]).tobytes().hex() == want, label
+
+
+def test_matrix_returns_a_fresh_array():
+    for label in ("I", "H", "HSHSSH"):
+        u = matrix(label)
+        u[:] = 7
+        assert matrix(label).tobytes().hex() == MATRIX_BYTES[label], label
+    assert MAT["I"].tobytes() == np.eye(2, dtype=complex).tobytes()
+
+
+def test_phase_table_matches_pauli_products():
+    # P_a P_b = i^PHASE[a][b] P_(a^b), exactly, for the dense Paulis
+    paulis = [MAT[letter] for letter in PAULIS]
+    for a in range(4):
+        for b in range(4):
+            want = 1j ** PHASE[a][b] * paulis[a ^ b]
+            assert np.array_equal(paulis[a] @ paulis[b], want), (PAULIS[a], PAULIS[b])

@@ -269,18 +269,57 @@ def test_chi2_sf_edges():
         chi2_sf(1.0, 0)
 
 
-def test_import_leaves_scipy_out():
-    # The CLI module imports every other module of the package.
-    code = "import sys, clusterforge.cli; print('scipy' in sys.modules)"
-    src = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def fresh_interpreter(code: str) -> str:
+    """Stdout of `code` run in a new interpreter that imports from src/."""
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+def test_import_leaves_scipy_out():
+    # The CLI module imports every other module of the package.
+    code = "import sys, clusterforge.cli; print('scipy' in sys.modules)"
+    assert fresh_interpreter(code).strip() == "False"
+
+
+def test_graph_level_path_leaves_numpy_out():
+    # Graph rewrites, fusion, recipes and graph-level trials never touch
+    # the tableau or the oracle, so they run without numpy.
+    code = """
+import sys
+from clusterforge import cliffords, fusion, graphstate, montecarlo, recipes
+montecarlo.run_recipe_trials(20, 0, chain_length=8)
+chains = graphstate.chain(6), graphstate.chain(6, start=7)
+recipes.build_h_shape(*chains, rng=fusion.RngStream(11))
+print('numpy' in sys.modules)
+"""
+    assert fresh_interpreter(code).strip() == "False"
+
+
+def test_replay_loads_the_tableau_on_demand():
+    # A stored ring8 build ends in a tableau_rewrite step: replaying it from
+    # recipes alone must import the tableau and reproduce the stored bytes.
+    stored = (ROOT / "tests" / "golden" / "build-ring8-forced-S.out").read_text()
+    assert '"op":"tableau_rewrite"' in stored
+    code = f"""
+import json, sys
+from clusterforge import recipes
+before = 'clusterforge.tableau' in sys.modules
+result = recipes.replay(json.loads({stored!r}))
+print(before, 'clusterforge.tableau' in sys.modules)
+sys.stdout.write(recipes.result_to_json(result) + "\\n")
+"""
+    flags, replayed = fresh_interpreter(code).split("\n", 1)
+    assert flags == "False True"
+    assert replayed == stored
 
 
 def test_pvalue_over_probability_grid():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from clusterforge.checks import random_graph
-from clusterforge.cliffords import MAT
 from clusterforge.fusion import RngStream
 from clusterforge.graphstate import GraphState, chain, star
 from clusterforge.oracle import (
+    MAT,
     ORACLE_QUBIT_LIMIT,
     OracleLimitError,
     StateVector,
