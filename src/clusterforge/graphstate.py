@@ -170,17 +170,6 @@ class GraphState:
         vertices, edges = self.vertices | other.vertices, self.edges | other.edges
         return GraphState._trusted(vertices, edges, {**self._adj, **other._adj})
 
-    def with_edges_toggled(self, pairs: Iterable[tuple[int, int]]) -> "GraphState":
-        flipped: set[tuple[int, int]] = set()
-        for u, v in pairs:
-            self._require(u, v)
-            flipped ^= {_norm_edge(u, v)}
-        return self._rewired(flipped)
-
-    def without_vertex(self, v: int) -> "GraphState":
-        self._require(v)
-        return self._rewired([(v, u) for u in self._adj[v]], drop=(v,))
-
     def with_edge(self, u: int, v: int) -> "GraphState":
         self._require(u, v)
         return GraphState._trusted(self.vertices, self.edges | {_norm_edge(u, v)})

@@ -257,7 +257,7 @@ class _Builder:
     def tableau_rewrite(self, hadamards: Sequence[int], swaps: Sequence[tuple[int, int]]) -> None:
         """Apply Hadamards and label swaps exactly, re-extracting the graph.
 
-        Runs through the stabilizer tableau (imported here, with numpy) so any
+        Runs through the stabilizer tableau (imported here) so any
         residual corrections land in the frame instead of being dropped.
         """
         from . import tableau as tb

@@ -31,8 +31,7 @@ per-qubit Clifford corrections and re-derives the input as a self-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Sequence
 
 from . import cliffords
 from .graphstate import GraphState
@@ -104,10 +103,15 @@ class PauliString:
         return not any(self.x_bits) and not any(self.z_bits)
 
 
-def _ones(bits) -> list[int]:
-    """Positions of the 1 entries of a 0/1 sequence, found at C speed."""
+def _ones(bits, one=1) -> list[int]:
+    """Positions of the ``one`` entries of a 0/1 sequence, found at C speed."""
     i = -1
-    return [i := bits.index(1, i + 1) for _ in range(bits.count(1))]
+    return [i := bits.index(one, i + 1) for _ in range(bits.count(one))]
+
+
+def _set_bits(c: int) -> list[int]:
+    """Positions of the set bits of a non-negative int, ascending."""
+    return _ones(bin(c)[:1:-1], "1")
 
 
 # ---------------------------------------------------------------------------
@@ -119,20 +123,28 @@ class StabilizerTableau:
 
     __slots__ = ("n", "_cols")
 
-    def __init__(self, x: np.ndarray, z: np.ndarray, neg: np.ndarray):
-        x, z, neg = (np.asarray(a) for a in (x, z, neg))
-        if not all(np.all((a == 0) | (a == 1)) for a in (x, z, neg)):
+    def __init__(self, x: Sequence[Sequence[int]], z: Sequence[Sequence[int]], neg: Sequence[int]):
+        """Row i is (-1)^neg[i] times the Pauli string with bits x[i][j], z[i][j]."""
+        shapes = ValueError("tableau arrays have inconsistent shapes")
+        try:
+            x, z, neg = [list(r) for r in x], [list(r) for r in z], list(neg)
+        except TypeError:
+            raise shapes from None
+        if any(r.count(0) + r.count(1) != len(r) for r in [neg, *x, *z]):  # at C speed
             raise ValueError("bits must be 0 or 1")
-        x, z, neg = (a.astype(np.uint8) for a in (x, z, neg))
-        n = neg.size
-        if x.shape != (n, n) or z.shape != (n, n) or neg.shape != (n,):
-            raise ValueError("tableau arrays have inconsistent shapes")
+        n = len(neg)
+        if len(x) != n or len(z) != n or any(len(r) != n for r in x + z):
+            raise shapes
         if n == 0:
             raise ValueError("tableau needs at least one qubit")
-        xi, zi = x.astype(np.int64), z.astype(np.int64)
-        if np.any((xi @ zi.T + zi @ xi.T) % 2):
+        support = [(_ones(xr), _ones(zr)) for xr, zr in zip(x, z)]
+        cols = [0] * (2 * n + 1)
+        for i, (xs, zs) in enumerate(support):
+            for q in xs + [n + q for q in zs]:
+                cols[q] |= 1 << i
+        cols[-1] = sum(1 << i for i in _ones(neg))
+        if any(_anticommuting(cols, n, xs, zs) for xs, zs in support):
             raise ValueError("generators do not commute pairwise")
-        cols = _pack(np.vstack((x.T, z.T, neg)))
         # Commuting rows keep every row product real, as _eliminate needs.
         if _eliminate(list(cols), n, 2 * n, list(range(n))) != n:
             raise ValueError("generators are not independent")
@@ -157,9 +169,10 @@ class StabilizerTableau:
     @property
     def rows(self) -> list[PauliString]:
         n = self.n
-        bits = _unpack(self._cols, n)
-        x, z, neg = bits[:n].T.tolist(), bits[n : 2 * n].T.tolist(), bits[2 * n]
-        return [PauliString(tuple(x[i]), tuple(z[i]), -1 if neg[i] else 1) for i in range(n)]
+        table = [bin(c)[:1:-1].ljust(n, "0") for c in self._cols]  # table[j][i]: bit i of column j
+        x, z = zip(*table[:n]), zip(*table[n : 2 * n])
+        return [PauliString(tuple(map(int, xr)), tuple(map(int, zr)), -1 if s == "1" else 1)
+                for xr, zr, s in zip(x, z, table[-1])]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StabilizerTableau):
@@ -209,26 +222,6 @@ class StabilizerTableau:
         return "\n".join(r.text for r in canonical_form(self).rows) + "\n"
 
 
-def _pack(bits: np.ndarray) -> list[int]:
-    """Each row of a 0/1 matrix as one int, bit j from column j."""
-    width = bits.shape[1]
-    padded = np.zeros((len(bits), -(-width // 64) * 64), dtype=np.uint8)
-    padded[:, :width] = bits
-    words = np.packbits(padded, axis=1, bitorder="little").view("<u8")
-    ints = words[:, -1].tolist()
-    for i in range(words.shape[1] - 2, -1, -1):  # lower 64-bit words, high to low
-        ints = [hi << 64 | lo for hi, lo in zip(ints, words[:, i].tolist())]
-    return ints
-
-
-def _unpack(cols: list[int], width: int) -> np.ndarray:
-    """The 0/1 uint8 matrix whose row i holds the low ``width`` bits of cols[i]."""
-    nbytes = -(-width // 8)
-    buf = b"".join([c.to_bytes(nbytes, "little") for c in cols])
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(cols), nbytes)
-    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
-
-
 def _column_action(op: "cliffords.CliffordOp") -> tuple[int, ...]:
     """Masks (0 or -1) for x' = x&ax ^ z&bx, z' = x&az ^ z&bz and the sign
     flips of rows holding X, Z and Y at the qubit, under conjugation by op."""
@@ -252,6 +245,17 @@ def _conjugate(cols: list[int], n: int, q: int, name: str) -> None:
     y = x & z
     cols[q], cols[n + q] = (x & ax) ^ (z & bx), (x & az) ^ (z & bz)
     cols[-1] ^= ((x ^ y) & fx) ^ ((z ^ y) & fz) ^ (y & fy)
+
+
+def _anticommuting(cols: list[int], n: int, xs: list[int], zs: list[int]) -> int:
+    """The mask of rows that anticommute with the Pauli that has X on the
+    qubits ``xs`` and Z on ``zs`` (Y on both): the XOR of their opposite columns."""
+    anti = 0
+    for q in xs:
+        anti ^= cols[n + q]
+    for q in zs:
+        anti ^= cols[q]
+    return anti
 
 
 def _row_mult(cols: list[int], n: int, dst: int, src: int) -> list[int]:
@@ -317,11 +321,13 @@ def _eliminate(cols: list[int], n: int, ncols: int, order: list[int]) -> int:
     return rank
 
 
-def _in_order(cols: list[int], rows: int, order: list[int]) -> list[int]:
-    """The columns with their rows moved to ``order`` (row k <- row order[k])."""
-    if order == list(range(len(order))):
-        return cols
-    return _pack(_unpack(cols, rows)[:, order])
+def _moved(cols: list[int], src: list[int], dst: Sequence[int]) -> list[int]:
+    """The columns with row src[k] moved to row dst[k] for every k, in
+    O(set bits) Python steps."""
+    to = [0] * len(src)
+    for s, d in zip(src, dst):
+        to[s] = 1 << d
+    return [sum([to[i] for i in _set_bits(c)]) for c in cols]
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +383,7 @@ def measure_pauli(t: StabilizerTableau, p: PauliString, forced: int | None = Non
     px, pz = _ones(p.x_bits), _ones(p.z_bits)
     # Work against the positive operator; fold p's sign into the outcome.
     forced_pos = None if forced is None else forced * p.sign
-    anti = 0  # rows that anticommute with p
-    for q in px:
-        anti ^= cols[n + q]
-    for q in pz:
-        anti ^= cols[q]
+    anti = _anticommuting(cols, n, px, pz)
     # The row p takes: if random, the first anticommuting row, after it is
     # multiplied into the others; if deterministic, a new row n.
     bit = anti & -anti if anti else 1 << n
@@ -425,12 +427,19 @@ def canonical_form(t: StabilizerTableau) -> StabilizerTableau:
     """
     cols, order = list(t._cols), list(range(t.n))
     _eliminate(cols, t.n, 2 * t.n, order)
-    return StabilizerTableau._trusted(t.n, _in_order(cols, t.n, order))
+    return StabilizerTableau._trusted(t.n, _moved(cols, order, range(t.n)))
 
 
 def canonical_equal(t1: StabilizerTableau, t2: StabilizerTableau) -> bool:
-    """Same state, signs included."""
-    return t1.n == t2.n and canonical_form(t1) == canonical_form(t2)
+    """Same state, signs included: both reduced forms agree row for row
+    once t1's rows sit where t2's pivot order puts them."""
+    if t1.n != t2.n:
+        return False
+    n = t1.n
+    (c1, o1), (c2, o2) = ((list(t._cols), list(range(n))) for t in (t1, t2))
+    _eliminate(c1, n, 2 * n, o1)
+    _eliminate(c2, n, 2 * n, o2)
+    return (c1 if o1 == o2 else _moved(c1, o1, o2)) == c2
 
 
 def to_graph(t: StabilizerTableau) -> tuple[GraphState, dict[int, str]]:
@@ -456,25 +465,25 @@ def to_graph(t: StabilizerTableau) -> tuple[GraphState, dict[int, str]]:
         if q is None:
             raise AssertionError("identity row in an independent tableau")
         conjugate(q, "H")
-    cols = _in_order(cols, n, order)
+    cols = _moved(cols, order, range(n))
 
     # X block is now the identity; the Z block must be symmetric.
     if cols[:n] != [1 << q for q in range(n)]:
         raise AssertionError("full-rank X block must reduce to the identity")
-    z = _unpack(cols[n : 2 * n], n)  # z[j, i]: row i has Z at qubit j
-    if not np.array_equal(z, z.T):
+    z = {(i, j) for j in range(n) for i in _set_bits(cols[n + j])}  # row i has Z at qubit j
+    if any((j, i) not in z for i, j in z):
         raise AssertionError("commuting rows force a symmetric Z block")
 
     for q in range(n):
         # Y at the diagonal: S-dagger turns it into X, with no sign flip, and
         # leaves the other rows alone, whose X part vanishes at q.  Row q is
         # then the only one with X at q, so Z flips its sign alone.
-        if z[q, q]:
+        if (q, q) in z:
             conjugate(q, "SDG")
         if cols[-1] >> q & 1:
             conjugate(q, "Z")
 
-    g = GraphState(range(n), np.argwhere(np.triu(z, 1)).tolist())
+    g = GraphState(range(n), [(i, j) for i, j in z if i < j])
 
     frame = {q: cliffords.inverse(op).label
              for q, op in enumerate(applied) if op != cliffords.IDENTITY}

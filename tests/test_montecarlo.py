@@ -304,6 +304,21 @@ print('numpy' in sys.modules)
     assert fresh_interpreter(code).strip() == "False"
 
 
+def test_tableau_path_leaves_numpy_out():
+    # The tableau packs its rows into ints itself, so graph extraction and
+    # a replayed tableau rewrite run without numpy.
+    stored = ROOT / "tests" / "golden" / "build-ring8-forced-S.out"
+    code = f"""
+import json, sys
+import clusterforge.tableau as tb
+from clusterforge import graphstate, recipes
+tb.to_graph(tb.from_graph(graphstate.ring(8)))
+recipes.replay(json.loads(open({str(stored)!r}).read()))
+print('numpy' in sys.modules)
+"""
+    assert fresh_interpreter(code).strip() == "False"
+
+
 def test_replay_loads_the_tableau_on_demand():
     # A stored ring8 build ends in a tableau_rewrite step: replaying it from
     # recipes alone must import the tableau and reproduce the stored bytes.

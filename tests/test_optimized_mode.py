@@ -44,6 +44,26 @@ def test_only_the_oracle_builds_unchecked_state_vectors():
     assert leaks == [], "StateVector._trusted outside oracle.py: " + ", ".join(leaks)
 
 
+def test_only_the_oracle_and_checks_import_numpy():
+    # Imports inside functions count too: a deferred import still loads numpy.
+    def imports_numpy(node: ast.AST) -> bool:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            return False
+        return any(name.split(".")[0] == "numpy" for name in names)
+
+    found = sorted({
+        path.stem
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if imports_numpy(node)
+    })
+    assert found == ["checks", "oracle"]
+
+
 def test_export_and_replay_catch_only_value_error():
     # Stored documents and mc's cost moments are checked to raise only
     # ValueError; catching KeyError, TypeError or OverflowError as well

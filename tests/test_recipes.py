@@ -637,7 +637,7 @@ def _fold(result: RecipeResult) -> GraphState:
             g = g.relabel({int(k): v for k, v in step["mapping"].items()})
         elif op == "drop_isolated":
             for v in step["vertices"]:
-                g = g.without_vertex(v)
+                g = measure_z(g, v)
         else:
             order = g.sorted_vertices()
             index = {v: i for i, v in enumerate(order)}

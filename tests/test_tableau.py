@@ -103,6 +103,23 @@ def test_tableau_rejects_entries_that_are_not_bits(x, z, neg):
         StabilizerTableau(np.array(x), np.array(z), np.array(neg))
 
 
+def test_tableau_takes_nested_lists_and_tuples():
+    x, z, neg = [[1, 0], [0, 1]], ((0, 1), (1, 0)), (False, True)
+    t = StabilizerTableau(x, z, neg)
+    assert [r.text for r in t.rows] == ["+XZ", "-ZX"]
+    assert t == StabilizerTableau(np.array(x), np.array(z), np.array(neg))
+    rows = t.rows
+    assert StabilizerTableau([r.x_bits for r in rows], [r.z_bits for r in rows],
+                             [r.sign < 0 for r in rows]).rows == rows
+    for ragged in (
+        ([[1, 0], [0]], z, neg),
+        (x, [[0, 1], [1, 0, 0]], neg),
+        (x, z, [0]),
+    ):
+        with pytest.raises(ValueError, match="^tableau arrays have inconsistent shapes$"):
+            StabilizerTableau(*ragged)
+
+
 def test_rows_round_trip():
     t = from_graph(ring(4))
     assert canonical_equal(StabilizerTableau.from_rows(t.rows), t)

@@ -3,7 +3,9 @@
 Each qubit column of the tableau is one integer over the generators, so
 these sizes put rows on both sides of every word boundary.  The walk
 tests replay one-step rewrites and a forced ladder exactly, and refuse
-each with one edge of the claimed graph toggled.
+each with one edge of the claimed graph toggled.  The canonical
+comparison is checked against whole canonical forms at 3 and 14 qubits
+as well.
 """
 
 from __future__ import annotations
@@ -13,11 +15,13 @@ from dataclasses import replace
 import pytest
 
 from clusterforge import cliffords
+from clusterforge import tableau as tb
 from clusterforge.checks import _one_step, random_graph, replay_tableau
 from clusterforge.fusion import RngStream
 from clusterforge.graphstate import GraphState, chain
 from clusterforge.recipes import build_h_shape, grow_ladder
 from clusterforge.tableau import (
+    StabilizerTableau,
     apply_clifford_op,
     canonical_equal,
     canonical_form,
@@ -99,7 +103,8 @@ def _one_step_traces(n: int):
 
 def _toggled(result):
     """The same result claiming a graph with its first edge removed."""
-    return replace(result, graph=result.graph.with_edges_toggled([min(result.graph.edges)]))
+    g = result.graph
+    return replace(result, graph=GraphState(g.vertices, g.edges ^ {min(g.edges)}))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -127,3 +132,35 @@ def test_rows_read_across_word_boundaries():
     assert rows[0] == "+XZ" + "I" * 127 + "Z"
     assert rows[63] == "+" + "I" * 62 + "ZXZ" + "I" * 65
     assert rows[64] == "+" + "I" * 63 + "ZXZ" + "I" * 64
+
+
+def _pivot_order(t):
+    """The physical rows of t in the logical order its reduction leaves."""
+    order = list(range(t.n))
+    tb._eliminate(list(t._cols), t.n, 2 * t.n, order)
+    return order
+
+
+@pytest.mark.parametrize("n", (3, 14, 65))
+def test_canonical_equal_agrees_with_comparing_canonical_forms(n):
+    # One circuit run on a graph state and on the same generators listed
+    # backwards reaches one state twice; flipping one generator's sign or
+    # adding a gate gives its neighbours.
+    rng = RngStream(3000 + n)
+    equal, reordered = [], 0
+    for _ in range(4):
+        start = from_graph(random_graph(n, rng))
+        circuit = _random_circuit(rng, n)
+        a = _run(start, circuit)
+        b = _run(StabilizerTableau.from_rows(start.rows[::-1]), circuit)
+        rows, k = b.rows, rng.next_u64() % n
+        rows[k] = replace(rows[k], sign=-rows[k].sign)
+        signed = StabilizerTableau.from_rows(rows)
+        for other in (b, signed, b.apply("H", k), b.apply("CZ", k, (k + 1) % n)):
+            verdict = canonical_equal(a, other)
+            assert verdict == (canonical_form(a) == canonical_form(other))
+            equal.append(verdict)
+            reordered += _pivot_order(a) != _pivot_order(other)
+        assert canonical_equal(a, b) and not canonical_equal(a, signed)
+    assert reordered, "no pair exercised the row move"
+    assert not all(equal)
