@@ -259,6 +259,18 @@ def _load_doc(path: str) -> dict:
         raise ValueError("parse error: JSON nested too deeply") from None
 
 
+def _write_out(path: str | None, payload: str) -> None:
+    """``payload`` to the file at ``path``, or to standard output without one."""
+    if not path:
+        sys.stdout.write(payload)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def cmd_export(args) -> int:
     try:
         result = result_from_doc(_load_doc(args.input))
@@ -266,14 +278,10 @@ def cmd_export(args) -> int:
             payload = to_dot(result.graph)
         else:
             payload = to_json_doc(result.graph, result.frame) + "\n"
+        _write_out(args.out, payload)
     except ValueError as exc:
         print(f"export: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
     return 0
 
 

@@ -1,5 +1,14 @@
-"""Shared test plumbing: the CLI runner and assertions over the library's
-two physics replayers.
+"""Shared test plumbing: the two CLI runners and assertions over the
+library's two physics replayers.
+
+``run_cli`` calls ``cli.main`` in this process and hands back what the
+command-line process would have shown: exit code, stdout and stderr as
+bytes.  ``run_entry_point`` starts ``python -m clusterforge`` for the
+few tests whose subject is the process itself: the real entry point's
+exit codes, a seed read from a fresh process's environment, and output
+that must not depend on interpreter-start settings such as
+``PYTHONHASHSEED`` or thread counts.  Every other CLI test uses
+``run_cli``.
 
 ``clusterforge.checks.replay_tableau`` and ``replay_oracle`` re-run a
 recipe's trace as raw physics on the stabilizer tableau and the dense
@@ -10,14 +19,20 @@ cancel out here.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
+import pytest
 from hypothesis import settings
 
+from clusterforge import cli
 from clusterforge.checks import OVERLAP_TOL, replay_oracle, replay_tableau
 from clusterforge.oracle import OracleLimitError
 
@@ -27,21 +42,72 @@ settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
 
 
+class CliRun(NamedTuple):
+    """One CLI invocation as its caller sees it; output stays as bytes on purpose."""
+
+    returncode: int
+    stdout: bytes
+    stderr: bytes
+
+
 def run_cli(
     *args: str, env_extra: dict | None = None, timeout: float | None = None
-) -> subprocess.CompletedProcess:
-    """Invoke the CLI in a subprocess; output stays as bytes on purpose."""
+) -> CliRun:
+    """Call ``cli.main(args)`` in process, as ``python -m clusterforge`` runs it.
+
+    ``CLUSTERFORGE_SEED`` is unset for the call unless ``env_extra`` sets
+    it; no other variable is accepted, because settings read at
+    interpreter start would be silently ignored here (use
+    ``run_entry_point``).  Argparse's ``SystemExit`` becomes the exit
+    code; any other exception escapes and fails the test, as a traceback
+    would fail the process.  ``timeout`` arms ``SIGALRM``, which stops
+    Python code but not a single long call into C.
+    """
+    extra = env_extra or {}
+    other = sorted(set(extra) - {cli.ENV_SEED})
+    if other:
+        raise ValueError(f"run_cli sets only {cli.ENV_SEED}, not {other}: use run_entry_point")
+
+    def expire(signum, frame):
+        raise subprocess.TimeoutExpired(["clusterforge", *args], timeout)
+
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, expire) if timeout else None
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delenv(cli.ENV_SEED, raising=False)
+            for key, value in extra.items():
+                mp.setenv(key, value)
+            if timeout:
+                signal.setitimer(signal.ITIMER_REAL, timeout)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(list(args))
+                except SystemExit as exc:
+                    code = exc.code or 0
+    finally:
+        if timeout:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+    return CliRun(code, out.getvalue().encode(), err.getvalue().encode())
+
+
+def run_entry_point(
+    *args: str, env_extra: dict | None = None, timeout: float | None = None
+) -> CliRun:
+    """Run ``python -m clusterforge`` in a fresh interpreter."""
     env = os.environ.copy()
-    env.pop("CLUSTERFORGE_SEED", None)
+    env.pop(cli.ENV_SEED, None)
     env["PYTHONPATH"] = str(SRC)
     if env_extra:
         env.update(env_extra)
-    return subprocess.run(
+    done = subprocess.run(
         [sys.executable, "-m", "clusterforge", *args],
         capture_output=True,
         env=env,
         timeout=timeout,
     )
+    return CliRun(done.returncode, done.stdout, done.stderr)
 
 
 def assert_tableau_replay(result) -> None:

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import assert_tableau_replay, run_cli
+from conftest import assert_tableau_replay, run_entry_point
 
 from clusterforge import montecarlo as mc
 from clusterforge import tableau as tb
@@ -286,8 +286,8 @@ def test_seeded_cli_reproducibility():
     ]
     stable = True
     for args in invocations:
-        outputs = {run_cli(*args, env_extra=env).stdout for env in environments}
-        outputs.add(run_cli(*args).stdout)
+        outputs = {run_entry_point(*args, env_extra=env).stdout for env in environments}
+        outputs.add(run_entry_point(*args).stdout)
         stable = stable and len(outputs) == 1
     _verdict(
         stable,

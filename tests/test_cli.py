@@ -1,16 +1,24 @@
-"""End-to-end CLI coverage through real subprocesses.
+"""End-to-end CLI coverage, one ``cli.main`` call per invocation.
 
 Exit code contract: 0 success, 1 usage or verification failure, 2
 resource exhaustion.  Seeded invocations must be byte-identical across
-runs, so every comparison here works on raw stdout bytes."""
+runs, so every comparison here works on raw stdout and stderr bytes.
+``run_cli`` runs each invocation in this process; ``run_entry_point``
+starts the real entry point only where the process is the subject: its
+exit codes and bytes match the in-process ones, and it reads the seed
+from its environment."""
 
 import argparse
-import contextlib
-import io
 import json
+import os
+import signal
+import subprocess
+import time
+
+import pytest
 
 from clusterforge import cli
-from conftest import run_cli
+from conftest import run_cli, run_entry_point
 
 
 def test_build_l_shape():
@@ -233,6 +241,17 @@ def test_export_json_and_out_file(tmp_path):
     assert out.read_text().startswith("graph clusterstate {")
 
 
+def test_export_to_an_unwritable_path_exits_1_with_one_line(tmp_path):
+    path = tmp_path / "l.json"
+    path.write_bytes(run_cli("build", "L", "--chain", "4").stdout)
+    for out in (tmp_path / "missing" / "x.dot", tmp_path):
+        r = run_cli("export", str(path), "--out", str(out))
+        assert r.returncode == 1, out
+        assert r.stdout == b"", out
+        assert r.stderr.startswith(f"export: cannot write {out}: ".encode()), r.stderr
+        assert r.stderr.count(b"\n") == 1, r.stderr
+
+
 def test_export_errors_exit_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
@@ -329,6 +348,10 @@ def test_seed_env_variable():
         "build", "H", "--chains", "8,8", env_extra={"CLUSTERFORGE_SEED": "42"}
     )
     assert via_env.stdout == flagged.stdout
+    fresh = run_entry_point(
+        "build", "H", "--chains", "8,8", env_extra={"CLUSTERFORGE_SEED": "42"}
+    )
+    assert fresh.stdout == flagged.stdout
 
     default = run_cli("build", "H", "--chains", "8,8")
     explicit_zero = run_cli("build", "H", "--chains", "8,8", "--seed", "0")
@@ -344,50 +367,98 @@ def test_seed_env_variable():
     assert flag_wins.stdout == run_cli("build", "H", "--chains", "8,8", "--seed", "3").stdout
 
 
+# -- the real entry point and the in-process runner ----------------------------------
+
+
+H88 = ("build", "H", "--chains", "8,8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build", "L", "--chain", "4"),
+        ("build", "L"),
+        ("frobnicate",),
+        (),
+        ("build", "H", "--chains", "4,4", "--force", "F,F"),
+    ],
+    ids=["exit-0", "exit-1-usage", "exit-1-argparse", "no-args", "exit-2-partial"],
+)
+def test_entry_point_and_in_process_runner_agree(argv):
+    assert run_entry_point(*argv) == run_cli(*argv)
+
+
+def test_a_raise_inside_a_verb_escapes_the_runner(monkeypatch):
+    def planted(result):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(cli, "result_to_json", planted)
+    with pytest.raises(RuntimeError, match="planted"):
+        run_cli("build", "L", "--chain", "4")
+
+
+def test_timeout_stops_a_hung_verb(monkeypatch):
+    monkeypatch.setattr(cli, "result_to_json", lambda result: time.sleep(30))
+    start = time.monotonic()
+    with pytest.raises(subprocess.TimeoutExpired):
+        run_cli("build", "L", "--chain", "4", timeout=0.2)
+    assert time.monotonic() - start < 5
+
+
+def test_runner_restores_the_seed_and_the_alarm_handler(monkeypatch):
+    def sentinel(signum, frame):
+        pass
+
+    monkeypatch.setenv(cli.ENV_SEED, "7")
+    previous = signal.signal(signal.SIGALRM, sentinel)
+    try:
+        unseeded = run_cli(*H88, timeout=30)
+        assert unseeded == run_cli(*H88, "--seed", "0")
+        assert run_cli(*H88, env_extra={cli.ENV_SEED: "3"}, timeout=30) == run_cli(
+            *H88, "--seed", "3"
+        )
+        monkeypatch.setattr(cli, "result_to_json", lambda result: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            run_cli(*H88, env_extra={cli.ENV_SEED: "3"}, timeout=30)
+        assert os.environ[cli.ENV_SEED] == "7"
+        assert signal.getsignal(signal.SIGALRM) is sentinel
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_runner_refuses_settings_read_at_interpreter_start():
+    for key in ("PYTHONHASHSEED", "OMP_NUM_THREADS"):
+        with pytest.raises(ValueError, match=key):
+            run_cli(*H88, env_extra={key: "1"})
+
+
 # -- one parser per process -------------------------------------------------------
 #
 # ``cli.main`` parses every call with one cached parser, so nothing a call
 # reads from the environment may be frozen into that parser.
 
 
-def call_main(argv) -> tuple[int, str, str]:
-    """One in-process ``cli.main`` call: exit code, stdout, stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
-H88 = ("build", "H", "--chains", "8,8")
-
-
-def test_seed_env_variable_is_read_on_every_call(monkeypatch):
-    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+def test_seed_env_variable_is_read_on_every_call():
     cli._make_parser.cache_clear()
-    by_flag = {seed: call_main((*H88, "--seed", seed)) for seed in ("0", "1", "3")}
+    by_flag = {seed: run_cli(*H88, "--seed", seed) for seed in ("0", "1", "3")}
     assert len(set(by_flag.values())) == 3
     for seed in ("3", "1", "0", "junk", "3"):
-        monkeypatch.setenv(cli.ENV_SEED, seed)
-        assert call_main(H88) == by_flag["0" if seed == "junk" else seed], seed
-    monkeypatch.delenv(cli.ENV_SEED)
-    assert call_main(H88) == by_flag["0"]
+        via_env = run_cli(*H88, env_extra={cli.ENV_SEED: seed})
+        assert via_env == by_flag["0" if seed == "junk" else seed], seed
+    assert run_cli(*H88) == by_flag["0"]
 
 
-def test_usage_error_and_help_leave_the_next_call_unchanged(monkeypatch):
-    monkeypatch.setenv(cli.ENV_SEED, "3")
+def test_usage_error_and_help_leave_the_next_call_unchanged():
+    seed3 = {cli.ENV_SEED: "3"}
     cli._make_parser.cache_clear()
-    first = call_main(H88)
+    first = run_cli(*H88, env_extra=seed3)
     for argv, code in ((("build", "nope"), 1), (("mc", "--help"), 0), (("--help",), 0)):
         cli._make_parser.cache_clear()
-        monkeypatch.delenv(cli.ENV_SEED)
-        made_first = call_main(argv)
-        assert made_first[0] == code and (made_first[1] or made_first[2]), argv
-        assert call_main(argv) == made_first, argv
-        monkeypatch.setenv(cli.ENV_SEED, "3")
-        assert call_main(H88) == first, argv
+        made_first = run_cli(*argv)
+        assert made_first.returncode == code and (made_first.stdout or made_first.stderr), argv
+        assert run_cli(*argv) == made_first, argv
+        assert run_cli(*H88, env_extra=seed3) == first, argv
 
 
 def test_every_verb_shares_one_parser(monkeypatch, tmp_path):
@@ -403,14 +474,13 @@ def test_every_verb_shares_one_parser(monkeypatch, tmp_path):
         ("mc", "ours", "--trials", "200", "--format", "json"),
     ]
     for i, argv in enumerate(seeded):
-        monkeypatch.setenv(cli.ENV_SEED, str(i + 5))
-        via_env = call_main(argv)
-        assert via_env[0] == 0, argv
-        assert via_env == call_main((*argv, "--seed", str(i + 5))), argv
+        via_env = run_cli(*argv, env_extra={cli.ENV_SEED: str(i + 5)})
+        assert via_env.returncode == 0, argv
+        assert via_env == run_cli(*argv, "--seed", str(i + 5)), argv
     stored = tmp_path / "h.json"
-    stored.write_text(call_main(H88)[1], encoding="utf-8")
-    assert call_main(("replay", str(stored)))[0] == 0
-    assert call_main(("export", str(stored), "--to", "json"))[0] == 0
+    stored.write_bytes(run_cli(*H88).stdout)
+    assert run_cli("replay", str(stored)).returncode == 0
+    assert run_cli("export", str(stored), "--to", "json").returncode == 0
     assert built.count("clusterforge") == 1
 
 

@@ -1,9 +1,10 @@
 """Golden corpus: seeded CLI runs pinned byte for byte.
 
-Each case runs ``cli.main`` in process and compares its standard output
-with the file of the same name under ``tests/golden/``.  A change in RNG
-draw order, JSON layout or a recipe's cost bookkeeping shows up here as
-a diff, even when every other test still passes.
+Each case runs ``cli.main`` in process through ``conftest.run_cli`` and
+compares its standard output with the file of the same name under
+``tests/golden/``.  A change in RNG draw order, JSON layout or a recipe's
+cost bookkeeping shows up here as a diff, even when every other test
+still passes.
 
 Regenerate the corpus only for an intended output change:
 
@@ -12,19 +13,15 @@ Regenerate the corpus only for an intended output change:
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from clusterforge import cli
 from clusterforge.recipes import result_from_doc, result_to_json
-from conftest import assert_replays_exactly
+from conftest import CliRun, assert_replays_exactly, run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -74,29 +71,21 @@ CASES = {
 }
 
 
-def run_main(argv) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(list(argv))
-    return code, out.getvalue()
-
-
-def run_case(name: str, workdir: Path) -> tuple[int, str]:
+def run_case(name: str, workdir: Path) -> CliRun:
     build = workdir / "build.json"
     if not build.exists():
-        code, text = run_main(SOURCE_BUILD)
-        assert code == 0
-        build.write_text(text, encoding="utf-8")
+        source = run_cli(*SOURCE_BUILD)
+        assert source.returncode == 0
+        build.write_bytes(source.stdout)
     argv, _ = CASES[name]
-    return run_main([str(build) if arg == "{build}" else arg for arg in argv])
+    return run_cli(*(str(build) if arg == "{build}" else arg for arg in argv))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output(name, tmp_path, monkeypatch):
-    monkeypatch.delenv(cli.ENV_SEED, raising=False)
-    code, text = run_case(name, tmp_path)
-    assert code == CASES[name][1]
-    assert text.encode() == (GOLDEN / f"{name}.out").read_bytes()
+def test_golden_output(name, tmp_path):
+    r = run_case(name, tmp_path)
+    assert r.returncode == CASES[name][1]
+    assert r.stdout == (GOLDEN / f"{name}.out").read_bytes()
 
 
 def test_golden_builds_decode_and_replay():
@@ -117,12 +106,11 @@ def test_corpus_has_no_stray_files():
 
 
 if __name__ == "__main__":
-    os.environ.pop(cli.ENV_SEED, None)
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
-            code, text = run_case(case, Path(tmp))
-            if code != CASES[case][1]:
-                sys.exit(f"{case}: exit code {code}, expected {CASES[case][1]}")
-            (GOLDEN / f"{case}.out").write_bytes(text.encode())
+            r = run_case(case, Path(tmp))
+            if r.returncode != CASES[case][1]:
+                sys.exit(f"{case}: exit code {r.returncode}, expected {CASES[case][1]}")
+            (GOLDEN / f"{case}.out").write_bytes(r.stdout)
     print(f"wrote {len(CASES)} golden files to {GOLDEN}")

@@ -7,8 +7,6 @@ on standard error: never a traceback, never a second line.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import itertools
 import json
 import re
@@ -18,20 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterforge import cli, recipes
+from clusterforge import recipes
 from clusterforge.recipes import replay, result_from_doc
+from conftest import run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BUILDS = [p.read_text(encoding="utf-8") for p in sorted(GOLDEN.glob("build-*.out"))]
 
 
-def run(verb: str, doc, path: Path) -> tuple[int, str]:
-    """Exit code and standard error of one in-process ``verb`` on ``doc``."""
+def stored(doc, path: Path) -> str:
+    """``doc`` written to ``path``, as the argument a verb reads it from."""
     path.write_text(json.dumps(doc), encoding="utf-8")
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main([verb, str(path)])
-    return code, err.getvalue()
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -145,8 +141,9 @@ MISTYPED = [
 def test_mistyped_field_exits_1_with_one_line(verb, build, edit, field, tmp_path):
     doc = json.loads((GOLDEN / f"build-{build}.out").read_text(encoding="utf-8"))
     edit(doc)
-    code, err = run(verb, doc, tmp_path / "edited.json")
-    assert code == 1
+    r = run_cli(verb, stored(doc, tmp_path / "edited.json"))
+    err = r.stderr.decode()
+    assert r.returncode == 1
     assert len(err.splitlines()) == 1, err
     assert re.match(f"{verb}: {field}( must|:) ", err), err
 
@@ -197,8 +194,9 @@ def test_stored_graphs_list_each_vertex_and_edge_once(graph):
 def test_repeated_vertex_exits_1_naming_the_field(verb, key, tmp_path):
     doc = json.loads((GOLDEN / "build-H-seeded.out").read_text(encoding="utf-8"))
     doc[key]["vertices"].append(doc[key]["vertices"][0])
-    code, err = run(verb, doc, tmp_path / "edited.json")
-    assert code == 1
+    r = run_cli(verb, stored(doc, tmp_path / "edited.json"))
+    err = r.stderr.decode()
+    assert r.returncode == 1
     assert err.startswith(f"{verb}: {key} vertices: ") and len(err.splitlines()) == 1, err
 
 
@@ -206,11 +204,9 @@ def test_repeated_vertex_exits_1_naming_the_field(verb, key, tmp_path):
 def test_deeply_nested_json_exits_1_with_one_line(verb, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main([verb, str(path)])
-    assert code == 1
-    assert err.getvalue() == f"{verb}: parse error: JSON nested too deeply\n"
+    r = run_cli(verb, str(path))
+    assert r.returncode == 1
+    assert r.stderr == f"{verb}: parse error: JSON nested too deeply\n".encode()
 
 
 def test_the_document_table_names_every_stored_field():
@@ -284,6 +280,6 @@ def test_one_node_edit_exits_0_or_1_with_at_most_one_line(edit, workdir):
         except ValueError:
             pass
     for verb in ("export", "replay"):
-        code, err = run(verb, doc, workdir / "edited.json")
-        assert code in (0, 1), (verb, path, value)
-        assert len(err.splitlines()) <= 1, (verb, path, err)
+        r = run_cli(verb, stored(doc, workdir / "edited.json"))
+        assert r.returncode in (0, 1), (verb, path, value)
+        assert len(r.stderr.splitlines()) <= 1, (verb, path, r.stderr)
