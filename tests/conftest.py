@@ -92,9 +92,7 @@ def run_cli(
     return CliRun(code, out.getvalue().encode(), err.getvalue().encode())
 
 
-def run_entry_point(
-    *args: str, env_extra: dict | None = None, timeout: float | None = None
-) -> CliRun:
+def run_entry_point(*args: str, env_extra: dict | None = None) -> CliRun:
     """Run ``python -m clusterforge`` in a fresh interpreter."""
     env = os.environ.copy()
     env.pop(cli.ENV_SEED, None)
@@ -105,7 +103,6 @@ def run_entry_point(
         [sys.executable, "-m", "clusterforge", *args],
         capture_output=True,
         env=env,
-        timeout=timeout,
     )
     return CliRun(done.returncode, done.stdout, done.stderr)
 

@@ -5,8 +5,9 @@ resource exhaustion.  Seeded invocations must be byte-identical across
 runs, so every comparison here works on raw stdout and stderr bytes.
 ``run_cli`` runs each invocation in this process; ``run_entry_point``
 starts the real entry point only where the process is the subject: its
-exit codes and bytes match the in-process ones, and it reads the seed
-from its environment."""
+exit codes and bytes match the in-process ones, seeded output stays the
+same in a fresh interpreter with its own hash seed, and it reads the
+seed from its environment."""
 
 import argparse
 import json
@@ -323,15 +324,16 @@ def test_non_object_frame_or_relabel_mapping_exits_1_with_one_line(tmp_path):
 
 
 def test_seeded_runs_are_byte_identical():
+    # One run in this process, one in a fresh interpreter with its own hash seed.
     pairs = [
         ("mc", "ours", "--trials", "3000", "--seed", "11"),
         ("build", "H", "--chains", "8,8", "--seed", "42"),
         ("verify", "triple-agreement", "--cases", "5", "--seed", "7", "--format", "json"),
     ]
     for args in pairs:
-        first, second = run_cli(*args), run_cli(*args)
-        assert first.returncode == second.returncode == 0
-        assert first.stdout == second.stdout, args
+        here, fresh = run_cli(*args), run_entry_point(*args)
+        assert here.returncode == 0, args
+        assert here == fresh, args
 
 
 def test_different_seeds_change_the_build():
