@@ -8,9 +8,11 @@ JSON; ``replay`` re-executes a stored trace and confirms it reproduces
 the stored result bit-exactly.
 
 Exit codes: 0 success, 1 usage or verification failure, 2 resource
-exhaustion inside a recipe.  Payloads go to standard output; human
-diagnostics go to standard error.  Every seeded invocation prints
-byte-identical output across runs.
+exhaustion inside a recipe.  ``main`` is the one error boundary: a
+verb's ``ValueError``, or a reader that closes standard output early,
+ends in exit 1 and one stderr line, ``<verb>[ <recipe or suite>]: ...``.
+Payloads go to standard output; human diagnostics go to standard error.
+Every seeded invocation prints byte-identical output across runs.
 """
 
 from __future__ import annotations
@@ -159,9 +161,6 @@ def cmd_build(args) -> int:
         print(result_to_json(exc.partial))
         print(f"build {args.recipe}: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"build {args.recipe}: {exc}", file=sys.stderr)
-        return 1
     print(result_to_json(result))
     return 0
 
@@ -177,9 +176,6 @@ def cmd_verify(args) -> int:
         reports = checks.run_suite(args.check, **options)
     except KeyError as exc:
         print(f"verify: {exc.args[0]}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"verify {args.check}: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in reports], sort_keys=True, separators=(",", ":")))
@@ -209,24 +205,20 @@ def _mc_model(args) -> montecarlo.CostModel:
 
 
 def cmd_mc(args) -> int:
-    try:
-        model = _mc_model(args)
-        if args.trials < 1:
-            raise ValueError("--trials must be at least 1")
-        if args.graph_level:
-            if model != montecarlo.PRESETS["ours"]:
-                raise ValueError("--graph-level drives the H recipe; it only matches the ours model")
-            stats = montecarlo.run_recipe_trials(args.trials, args.seed)
-        else:
-            stats = montecarlo.run_trials(model, args.trials, args.seed)
-        closed = {
-            "mean_cost": montecarlo.closed_form_expected_cost(model),
-            "variance": montecarlo.closed_form_cost_variance(model),
-            "mean_attempts": montecarlo.closed_form_expected_attempts(model),
-        }
-    except ValueError as exc:
-        print(f"mc: {exc}", file=sys.stderr)
-        return 1
+    model = _mc_model(args)
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
+    if args.graph_level:
+        if model != montecarlo.PRESETS["ours"]:
+            raise ValueError("--graph-level drives the H recipe; it only matches the ours model")
+        stats = montecarlo.run_recipe_trials(args.trials, args.seed)
+    else:
+        stats = montecarlo.run_trials(model, args.trials, args.seed)
+    closed = {
+        "mean_cost": montecarlo.closed_form_expected_cost(model),
+        "variance": montecarlo.closed_form_cost_variance(model),
+        "mean_attempts": montecarlo.closed_form_expected_attempts(model),
+    }
     if args.csv:
         sys.stdout.write(stats.histogram_csv())
         return 0
@@ -272,29 +264,21 @@ def _write_out(path: str | None, payload: str) -> None:
 
 
 def cmd_export(args) -> int:
-    try:
-        result = result_from_doc(_load_doc(args.input))
-        if args.to == "dot":
-            payload = to_dot(result.graph)
-        else:
-            payload = to_json_doc(result.graph, result.frame) + "\n"
-        _write_out(args.out, payload)
-    except ValueError as exc:
-        print(f"export: {exc}", file=sys.stderr)
-        return 1
+    result = result_from_doc(_load_doc(args.input))
+    if args.to == "dot":
+        payload = to_dot(result.graph)
+    else:
+        payload = to_json_doc(result.graph, result.frame) + "\n"
+    _write_out(args.out, payload)
     return 0
 
 
 def cmd_replay(args) -> int:
     # Replay first: an edited step reports where the trace stops
     # replaying, not that the stored ledger no longer matches it.
-    try:
-        doc = _load_doc(args.input)
-        replayed = result_to_json(replay(doc))
-        recorded = result_to_json(result_from_doc(doc))
-    except ValueError as exc:
-        print(f"replay: {exc}", file=sys.stderr)
-        return 1
+    doc = _load_doc(args.input)
+    replayed = result_to_json(replay(doc))
+    recorded = result_to_json(result_from_doc(doc))
     print(replayed)
     if replayed != recorded:
         print("replay: reconstruction differs from the recorded result", file=sys.stderr)
@@ -359,7 +343,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _make_parser().parse_args(argv)
     if getattr(args, "seed", 0) is None:
         args.seed = _default_seed()
-    return args.func(args)
+    subject = getattr(args, "recipe", None) or getattr(args, "check", None)
+    where = f"{args.verb} {subject}" if subject else args.verb
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except ValueError as exc:
+        print(f"{where}: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # Point stdout at the null device so the exit flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"{where}: standard output was closed early", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

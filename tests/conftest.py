@@ -5,10 +5,10 @@ library's two physics replayers.
 command-line process would have shown: exit code, stdout and stderr as
 bytes.  ``run_entry_point`` starts ``python -m clusterforge`` for the
 few tests whose subject is the process itself: the real entry point's
-exit codes, a seed read from a fresh process's environment, and output
-that must not depend on interpreter-start settings such as
-``PYTHONHASHSEED`` or thread counts.  Every other CLI test uses
-``run_cli``.
+exit codes, a seed read from a fresh process's environment, a standard
+output whose reader is gone, and output that must not depend on
+interpreter-start settings such as ``PYTHONHASHSEED`` or thread counts.
+Every other CLI test uses ``run_cli``.
 
 ``clusterforge.checks.replay_tableau`` and ``replay_oracle`` re-run a
 recipe's trace as raw physics on the stabilizer tableau and the dense
@@ -92,8 +92,14 @@ def run_cli(
     return CliRun(code, out.getvalue().encode(), err.getvalue().encode())
 
 
-def run_entry_point(*args: str, env_extra: dict | None = None) -> CliRun:
-    """Run ``python -m clusterforge`` in a fresh interpreter."""
+def run_entry_point(
+    *args: str, env_extra: dict | None = None, stdout: int = subprocess.PIPE
+) -> CliRun:
+    """Run ``python -m clusterforge`` in a fresh interpreter.
+
+    ``stdout`` may name a file descriptor for the child's standard
+    output; the returned stdout is then empty.
+    """
     env = os.environ.copy()
     env.pop(cli.ENV_SEED, None)
     env["PYTHONPATH"] = str(SRC)
@@ -101,10 +107,11 @@ def run_entry_point(*args: str, env_extra: dict | None = None) -> CliRun:
         env.update(env_extra)
     done = subprocess.run(
         [sys.executable, "-m", "clusterforge", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         env=env,
     )
-    return CliRun(done.returncode, done.stdout, done.stderr)
+    return CliRun(done.returncode, done.stdout or b"", done.stderr)
 
 
 def assert_tableau_replay(result) -> None:

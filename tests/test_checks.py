@@ -19,7 +19,7 @@ from clusterforge.checks import (
 )
 from clusterforge.fusion import RngStream
 from clusterforge.graphstate import GraphState, chain, star
-from clusterforge.recipes import nodeless_rung
+from clusterforge.recipes import RecipeResult, nodeless_rung
 
 
 def test_suite_names_are_registered():
@@ -123,3 +123,102 @@ def test_ring_suite_fails_on_a_wrong_ring_graph(monkeypatch):
     verdicts = {line.name: line.passed for line in run_suite("ring")[0].lines}
     assert not verdicts["success output is locally equivalent to the 8-ring"]
     assert not verdicts["oracle: fused ring + Hadamards equals the extracted graph"]
+
+
+def _hand_built(initial, trace, graph=None):
+    """A RecipeResult with no recipe behind it, for the walk's refusals."""
+    return RecipeResult("hand-built", graph or initial, {}, tuple(trace), initial)
+
+
+def _hadamard(v):
+    return {"op": "tableau_rewrite", "hadamards": [v], "swaps": []}
+
+
+def test_walk_stops_at_a_certain_outcome():
+    # H|+> = |0>: Z = +1 is certain, not the 1/2 every trace measurement needs.
+    res = _hand_built(GraphState({1}, ()), [_hadamard(1), {"op": "measure_z", "vertex": 1}])
+    assert replay_oracle(res) == (1.0, 0.0)
+    assert checks._walk(res, checks._Tableau) == (1.0, None)
+    assert not replay_tableau(res)
+
+
+def test_walk_stops_at_an_excluded_outcome():
+    # With H on vertex 1 of the edge 1-2, Y = +1 on vertex 1 excludes Y = +1 on vertex 2.
+    res = _hand_built(
+        chain(2),
+        [_hadamard(1), {"op": "measure_y", "vertex": 1}, {"op": "measure_y", "vertex": 2}],
+    )
+    assert replay_oracle(res) == (0.0, 0.0)
+    assert checks._walk(res, checks._Tableau) == (0.0, None)
+    assert not replay_tableau(res)
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        ({"op": "measure_z", "vertex": 3}, "trace does not run: no live vertex 3"),
+        ({"op": "teleport"}, "unknown trace op: 'teleport'"),
+    ],
+    ids=["no-live-vertex", "unknown-op"],
+)
+def test_walk_refuses_a_trace_that_cannot_run(step, message):
+    res = _hand_built(chain(2), [step])
+    for replayer in (replay_oracle, replay_tableau):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replayer(res)
+
+
+def test_walk_rejects_survivors_that_are_not_the_claimed_vertices():
+    res = _hand_built(chain(2), [], graph=GraphState({1, 2, 3}, {(1, 2)}))
+    assert replay_oracle(res) == (0.5, 0.0)
+    assert not replay_tableau(res)
+
+
+def test_measurement_agreement_refuses_an_unsupported_basis():
+    with pytest.raises(ValueError, match="^unsupported measurement basis: 'X'$"):
+        measurement_agreement(chain(3), 2, "X")
+
+
+@pytest.mark.parametrize(
+    "engine, method, value, detail",
+    [
+        ("_Tableau", "compare", False, "tableau mismatch measuring Z at 2"),
+        ("_Oracle", "measure", 0.25, "outcome probability 0.25 is not 1/2"),
+        ("_Oracle", "compare", 0.0, "oracle mismatch measuring Z at 2"),
+    ],
+    ids=["tableau-mismatch", "off-branch", "oracle-mismatch"],
+)
+def test_measurement_agreement_fails_on_a_broken_engine(monkeypatch, engine, method, value, detail):
+    monkeypatch.setattr(getattr(checks, engine), method, lambda self, *a: value)
+    assert measurement_agreement(chain(3), 2, "Z") == (False, detail)
+
+
+@pytest.mark.parametrize(
+    "method, value, detail",
+    [
+        ("measure", 0.25, "fuse(2,3): branch probability 0.25 is not 1/2"),
+        ("compare", 0.0, "fuse(2,3): state mismatch"),
+    ],
+    ids=["off-branch", "state-mismatch"],
+)
+def test_fusion_suite_fails_on_a_broken_oracle(monkeypatch, method, value, detail):
+    monkeypatch.setattr(checks._Oracle, method, lambda self, *a: value)
+    lines = {line.name: line for line in run_suite("fusion")[0].lines}
+    assert lines["chains 2+2: success gives the 3-chain"].passed
+    line = lines["chains 2+2: oracle success branch"]
+    assert (line.passed, line.detail) == (False, detail)
+
+
+def test_triple_agreement_reports_its_first_failing_case(monkeypatch):
+    # The tableau disagrees from the second case on; the detail names case 1.
+    calls = []
+
+    def compare(self, g, frame):
+        calls.append(g)
+        return len(calls) == 1
+
+    monkeypatch.setattr(checks._Tableau, "compare", compare)
+    (line,) = run_suite("triple-agreement", n=4, cases=3)[0].lines
+    assert len(calls) == 3
+    assert not line.passed
+    assert line.detail.startswith("case 1: tableau mismatch measuring ")

@@ -6,8 +6,9 @@ runs, so every comparison here works on raw stdout and stderr bytes.
 ``run_cli`` runs each invocation in this process; ``run_entry_point``
 starts the real entry point only where the process is the subject: its
 exit codes and bytes match the in-process ones, seeded output stays the
-same in a fresh interpreter with its own hash seed, and it reads the
-seed from its environment."""
+same in a fresh interpreter with its own hash seed, it reads the seed
+from its environment, and a closed standard output ends it in one
+stderr line."""
 
 import argparse
 import json
@@ -560,3 +561,28 @@ def test_unknown_frame_label_is_rejected(tmp_path):
         assert r.returncode == 1, args
         assert r.stdout == b"", args
         assert b"unknown Clifford label: 'Q'" in r.stderr, args
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (("build", "L", "--chain", "4"), "build L"),  # about 600 bytes, left to the exit flush
+        (("build", "L", "--chain", "20000"), "build L"),  # about 0.7 MB, fails inside print
+        (("verify", "box-equivalence"), "verify box-equivalence"),
+        (("mc", "ours", "--trials", "100"), "mc"),
+        (("export", "STORED"), "export"),
+        (("replay", "STORED"), "replay"),
+    ],
+    ids=["build-small", "build-large", "verify", "mc", "export", "replay"],
+)
+def test_closed_stdout_ends_in_one_stderr_line(tmp_path, argv, where):
+    stored = tmp_path / "l4.json"
+    stored.write_bytes(run_cli("build", "L", "--chain", "4").stdout)
+    argv = [str(stored) if arg == "STORED" else arg for arg in argv]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = run_entry_point(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (r.returncode, r.stderr) == (1, f"{where}: standard output was closed early\n".encode())
