@@ -32,7 +32,7 @@ from .graphstate import (
     ring,
     star,
 )
-from .oracle import ORACLE_QUBIT_LIMIT, _apply_unitary, graph_state_vector, project_measure
+from .oracle import ORACLE_QUBIT_LIMIT, _apply_in_place, _project_in_place, graph_state_vector
 from .recipes import (
     RecipeResult,
     _Builder,
@@ -147,28 +147,27 @@ _GATES = {"H": matrix("H"), "CNOT": np.eye(4, dtype=complex)[[0, 1, 3, 2]]}
 
 
 class _Oracle:
-    """Dense statevector engine of the walk: at most 14 qubits."""
+    """Dense statevector engine of the walk: at most 14 qubits.  Gates and forced
+    measurements edit one copy of the initial graph state through the oracle's kernels."""
 
     def __init__(self, g: GraphState):
-        self.state = graph_state_vector(g)
+        self.amps = graph_state_vector(g).amplitudes.copy()
 
     def gate(self, name: str, *qubits: int) -> None:
-        self.state = _apply_unitary(self.state, _GATES[name], qubits)
+        _apply_in_place(self.amps, _GATES[name], qubits)
 
     def measure(self, q: int, letter: str) -> float:
         """Force the +1 outcome; returns the branch probability."""
         try:
-            self.state, prob = project_measure(self.state, q, letter, 1)
+            return _project_in_place(self.amps, q, letter, 1)[1]
         except ValueError:  # the +1 branch has vanishing probability
             return 0.0
-        return prob
 
     def compare(self, g: GraphState, frame: dict[int, str]) -> float:
-        """|<frame-corrected graph state of g | state>|."""
-        want = graph_state_vector(g)
+        """|<frame-corrected graph state of g | state>|, with the frame undone on the state."""
         for q, label in frame.items():
-            want = _apply_unitary(want, matrix(label), (q,))
-        return float(abs(np.vdot(want.amplitudes, self.state.amplitudes)))
+            _apply_in_place(self.amps, matrix(label).conj().T, (q,))
+        return float(abs(np.vdot(graph_state_vector(g).amplitudes, self.amps)))
 
 
 def _walk(result: RecipeResult, engine_cls) -> tuple[float, bool | float | None]:

@@ -6,7 +6,7 @@ of the current graph.  Each operator is represented by its conjugation
 action on the Pauli axes, through which the stabilizer tableau applies
 every single-qubit gate.  This module also holds the one Pauli encoding
 (``PAULIS``) and product-phase table (``PHASE``).  It loads no numpy:
-``matrix``, the 2x2 matrix for statevector checks, imports the oracle.
+``matrix``, the 2x2 matrix for statevector checks, copies the oracle's.
 
 Labels are canonical shortest words in the generators H and S, found by
 breadth-first search from the identity.  A word is read as a matrix
@@ -74,9 +74,6 @@ class CliffordOp:
     def label(self) -> str:
         return _LABELS[self]
 
-    def __repr__(self) -> str:  # pragma: no cover - debug nicety
-        return f"CliffordOp({self.label!r})"
-
 
 def compose(outer: CliffordOp, inner: CliffordOp) -> CliffordOp:
     """Operator product outer*inner (inner acts on the state first)."""
@@ -130,10 +127,6 @@ def compose_labels(outer: str, inner: str) -> str:
 
 
 def matrix(op: CliffordOp | str):
-    """2x2 unitary (up to global phase) from the label word, as a new numpy array."""
-    from .oracle import MAT
-
-    out = MAT["I"].copy()
-    for ch in op if isinstance(op, str) else op.label:
-        out = out @ MAT[ch]
-    return out
+    """2x2 unitary (up to global phase) of an operator or its label word, as a new numpy array."""
+    from .oracle import _CLIFFORD_MAT
+    return _CLIFFORD_MAT[op if isinstance(op, str) else op.label].copy()

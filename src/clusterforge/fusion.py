@@ -70,9 +70,6 @@ class RngStream:
         child = _mix64(self.seed ^ _mix64((index + 1) * _GAMMA & _MASK64))
         return RngStream(child)
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"RngStream(seed={self.seed:#x}, counter={self.counter})"
-
 
 class CostLedger(NamedTuple):
     """Additive resource counters for a build sequence."""

@@ -4,17 +4,19 @@ Everything the graph rules and the tableau claim is re-checked here by
 dense linear algebra on at most 14 qubits.  Qubit q owns bit q of the
 amplitude index (little-endian), and for multi-qubit gates the first
 listed qubit is the most significant bit of the gate matrix basis.
-The public ``StateVector`` and ``apply_unitary`` validate their inputs;
-the states this module builds skip those checks.
+A gate and a Pauli projection each have one kernel that edits an array
+in place: ``apply_unitary`` and ``project_measure`` validate, copy the
+state and run the kernel on the copy; ``checks`` runs it on one buffer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
+from .cliffords import BY_LABEL
 from .graphstate import GraphState
 
 __all__ = [
@@ -32,10 +34,7 @@ __all__ = [
 ORACLE_QUBIT_LIMIT = 14
 _UNITARY_TOL = 1e-10
 _PROB_FLOOR = 1e-12
-# A Pauli on one qubit: X and Y swap the qubit's two halves; then each half gets a phase.
-_PAULI_PHASE = {"X": np.array([[1], [1]]), "Y": np.array([[-1j], [1j]]),
-                "Z": np.array([[1], [-1]])}
-# The generators and Paulis as 2x2 matrices; cliffords.matrix multiplies them out.
+# 2x2 matrices: the generators and Paulis, then each Clifford label's word multiplied out.
 MAT = {
     "I": np.eye(2, dtype=complex),
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -44,6 +43,7 @@ MAT = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+_CLIFFORD_MAT = {label: reduce(np.matmul, map(MAT.get, label), MAT["I"]) for label in BY_LABEL}
 
 
 class OracleLimitError(ValueError):
@@ -81,28 +81,28 @@ class StateVector:
 
 
 @lru_cache(maxsize=None)
-def _bit_masks(n: int) -> np.ndarray:
-    """Row q says which amplitude indices have bit q set; shape (n, 2**n)."""
-    masks = ((np.arange(2**n) >> np.arange(n)[:, None]) & 1).astype(bool)
-    masks.setflags(write=False)
-    return masks
+def _bit_rows(n: int) -> list[int]:
+    """Row q as an int of 2**n bits, bit y being bit q of y: 2^q zeros, 2^q ones, repeated."""
+    ones = (1 << (1 << n)) - 1
+    return [ones // ((1 << (2 << q)) - 1) * (((1 << (1 << q)) - 1) << (1 << q)) for q in range(n)]
 
 
 def graph_state_vector(g: GraphState) -> StateVector:
-    """Graph state amplitudes: 2^(-n/2) * (-1)^(edges inside the excited set).
-
-    Qubit i is the i-th vertex in ascending order.
-    """
+    """Graph state amplitudes: 2^(-n/2) * (-1)^(edges inside the excited set), qubit i
+    being the i-th vertex in ascending order.  The signs double over qubits: index
+    2^q + y has the edges of y plus those from q to the qubits in y."""
     n = g.n
     if n > ORACLE_QUBIT_LIMIT:
         raise OracleLimitError(f"oracle size limit: {n} qubits exceeds {ORACLE_QUBIT_LIMIT}")
     pos = {v: i for i, v in enumerate(g.sorted_vertices())}
-    masks = _bit_masks(n)
-    odd = np.zeros(2**n, dtype=bool)
-    for u, v in g.edges:
-        odd ^= masks[pos[u]] & masks[pos[v]]
+    rows, odd, lower = _bit_rows(n), 0, [0] * n  # odd: bit x set for an odd edge count in x
+    for u, v in g.edges:  # u < v, so q's lower neighbours are XORed into lower[q]
+        lower[pos[v]] ^= rows[pos[u]]
+    for q in range(n):
+        odd |= ((odd ^ lower[q]) & ((1 << (1 << q)) - 1)) << (1 << q)
+    signs = np.unpackbits(memoryview(odd.to_bytes(2**n // 8 + 1, "little")), bitorder="little")
     amp = 2 ** (-n / 2)
-    return StateVector._trusted(n, np.where(odd, complex(-amp), complex(amp)))
+    return StateVector._trusted(n, np.where(signs[: 2**n], complex(-amp), complex(amp)))
 
 
 def _check_qubits(v: StateVector, *qubits: int) -> None:
@@ -128,18 +128,31 @@ def apply_unitary(v: StateVector, u: np.ndarray, qubits: tuple[int, ...]) -> Sta
         raise ValueError(f"gate has shape {u.shape}, wanted ({2**k}, {2**k})")
     if np.max(np.abs(u.conj().T @ u - np.eye(2**k))) > _UNITARY_TOL:
         raise ValueError("gate is not unitary")
-    return _apply_unitary(v, u, qubits)
+    return StateVector._trusted(v.n, _apply_in_place(v.amplitudes.copy(), u, qubits))
 
 
-def _apply_unitary(v: StateVector, u: np.ndarray, qubits: tuple[int, ...]) -> StateVector:
-    """apply_unitary without the checks: u is a complex unitary on distinct qubits of v."""
-    k = len(qubits)
-    # C-order reshape puts qubit n-1 on axis 0: axis for qubit q is n-1-q.
-    axes = [v.n - 1 - q for q in qubits]
-    moved = np.moveaxis(v.amplitudes.reshape([2] * v.n), axes, range(k))
-    flat = u @ moved.reshape(2**k, -1)
-    tensor = np.moveaxis(flat.reshape([2] * v.n), range(k), axes)
-    return StateVector._trusted(v.n, tensor.reshape(-1))
+def _apply_in_place(a: np.ndarray, u: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """The gate kernel: a becomes u applied to distinct qubits, and is returned.
+    A gate with one nonzero entry per row (a Pauli, a phase, CNOT) copies and
+    scales the blocks of a where the qubits read each basis state, saving first a
+    block that a later row still reads; any other gate is one matrix product."""
+    if len(qubits) == 1:  # view[0, b]: the qubit's bit is b
+        view = a.reshape(1, -1, 2, 2 ** qubits[0]).transpose(0, 2, 1, 3)
+    else:  # view[b, c]: the first qubit's bit is b, the second's c
+        lo, hi = sorted(qubits)
+        view = a.reshape(-1, 2, 2 ** (hi - lo - 1), 2, 2**lo)  # axis 1 is bit hi, axis 3 bit lo
+        view = view.transpose((1, 3, 0, 2, 4) if qubits[0] == hi else (3, 1, 0, 2, 4))
+    rows = u.tolist()
+    blocks = [view[i >> 1, i & 1] for i in range(len(rows))]
+    cols = [[j for j, c in enumerate(row) if c != 0] for row in rows]
+    if any(len(js) > 1 for js in cols):
+        view[...] = (u @ view.reshape(len(rows), -1)).reshape(view.shape)
+        return a
+    saved = {j: blocks[j].copy() for i, (j,) in enumerate(cols) if j < i}
+    for i, (j,) in enumerate(cols):
+        if (j, rows[i][j]) != (i, 1):
+            np.multiply(saved.get(j, blocks[j]), rows[i][j], out=blocks[i])
+    return a
 
 
 def project_measure(
@@ -151,18 +164,30 @@ def project_measure(
     stays in place, collapsed) and the branch probability.  A branch
     with probability below 1e-12 is an error.
     """
-    if basis not in _PAULI_PHASE:
+    if basis not in ("X", "Y", "Z"):
         raise ValueError(f"unknown measurement basis: {basis!r}")
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
     _check_qubits(v, qubit)
-    halves = v.amplitudes.reshape(-1, 2, 2**qubit)  # axis 1 is the qubit's bit
-    flipped = (halves if basis == "Z" else halves[:, ::-1]) * _PAULI_PHASE[basis]
-    proj = ((halves + outcome * flipped) / 2.0).reshape(-1)
-    prob = float(np.vdot(proj, proj).real)
+    amps, prob = _project_in_place(v.amplitudes.copy(), qubit, basis, outcome)
+    return StateVector._trusted(v.n, amps), prob
+
+
+def _project_in_place(a: np.ndarray, qubit: int, basis: str, outcome: int) -> tuple[np.ndarray, float]:
+    """The projection kernel: a becomes (a + outcome * P a) / 2 for the Pauli P on the qubit,
+    renormalized, and is returned with the probability; below 1e-12 it raises ValueError."""
+    half0, half1 = a.reshape(-1, 2, 2**qubit).swapaxes(0, 1)
+    if basis == "Z":
+        (half1 if outcome == 1 else half0)[...] = 0
+    else:  # P swaps the halves, so half 1 of the result is outcome * P[1, 0] times half 0
+        half0 += (outcome * MAT[basis][0, 1]) * half1
+        half0 *= 0.5
+        np.multiply(half0, outcome * MAT[basis][1, 0], out=half1)
+    prob = float(np.vdot(a, a).real)
     if prob < _PROB_FLOOR:
         raise ValueError(f"measurement branch has vanishing probability ({prob:.3e})")
-    return StateVector._trusted(v.n, proj / np.sqrt(prob)), prob
+    a *= 1.0 / np.sqrt(prob)  # bit for bit numpy's complex division by sqrt(prob)
+    return a, prob
 
 
 def merge_qubits(v: StateVector, qa: int, qb: int) -> tuple[StateVector, float]:
@@ -176,8 +201,8 @@ def merge_qubits(v: StateVector, qa: int, qb: int) -> tuple[StateVector, float]:
     if qa == qb:
         raise ValueError("cannot fuse a qubit with itself")
     _check_qubits(v, qa, qb)
-    masks = _bit_masks(v.n)
-    keep = np.flatnonzero(masks[qa] == masks[qb])
+    index = np.arange(2**v.n)
+    keep = index[((index >> qa) ^ (index >> qb)) & 1 == 0]
     # Compress the index by dropping bit qb.
     new_idx = (keep & ((1 << qb) - 1)) | ((keep >> (qb + 1)) << qb)
     out = np.zeros(2 ** (v.n - 1), dtype=complex)

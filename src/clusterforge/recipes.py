@@ -292,8 +292,6 @@ def _consecutive_path(g: GraphState, length: int, what: str) -> list[int]:
     p = path_vertices(g)
     if len(p) != length:
         raise ValueError(f"{what} needs a {length}-vertex chain, got {len(p)}")
-    if p[-1] < p[0]:
-        p.reverse()
     if p != list(range(p[0], p[0] + length)):
         raise ValueError(f"{what} needs consecutive labels along the chain")
     return p
@@ -663,24 +661,17 @@ def _salvage_targets(g: GraphState, component: frozenset[int]) -> tuple[int, int
 
 
 def salvage_failed_join(
-    remnant: RecipeResult,
-    second: RecipeResult | None = None,
-    *,
-    rng: RngStream | None = None,
-    forced=None,
+    remnant: RecipeResult, *, rng: RngStream | None = None, forced=None
 ) -> RecipeResult:
     """Recover a double box from the debris of a failed first join fusion.
 
-    The debris holds two components, each a box cycle with a dangling
-    two-vertex tail; pass them as one two-component result or as two
-    separate ones.  Fusing the two far corners and Z-measuring the tail
-    roots (their leaves float off for free) rebuilds one
-    double-box-shaped cluster at 4 bonds on success.  Failure costs 4
-    bonds and leaves the shortened remnants.
+    The debris is one result with two components, each a box cycle with
+    a dangling two-vertex tail.  Fusing the two far corners and
+    Z-measuring the tail roots (their leaves float off for free)
+    rebuilds one double-box-shaped cluster at 4 bonds on success.
+    Failure costs 4 bonds and leaves the shortened remnants.
     """
     b = _Builder.resume(remnant, rng, forced)
-    if second is not None:
-        b.absorb(second)
     comps = b.graph.connected_components()
     if len(comps) != 2:
         raise ValueError("expected exactly two remnant components")

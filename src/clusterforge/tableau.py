@@ -179,9 +179,6 @@ class StabilizerTableau:
             return NotImplemented
         return self.n == other.n and self._cols == other._cols
 
-    def __hash__(self):  # pragma: no cover - immutable, so hashable
-        return hash(tuple(self._cols))
-
     # -- gates -------------------------------------------------------------
 
     def apply(self, gate: str, *qubits: int) -> "StabilizerTableau":

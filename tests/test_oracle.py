@@ -88,6 +88,8 @@ def test_apply_unitary_rejects_junk():
         apply_unitary(v, MAT["X"], (5,))
     with pytest.raises(ValueError, match="1- and 2-qubit"):
         apply_unitary(v, np.eye(8), (0, 1, 2))
+    with pytest.raises(ValueError, match="gate has shape"):
+        apply_unitary(v, np.eye(4), (0,))
 
 
 def test_cz_on_plus_gives_graph_state():
@@ -179,6 +181,54 @@ def _random_state(n: int, seed: int) -> StateVector:
     gen = np.random.default_rng(seed)
     amps = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
     return StateVector(n, amps / np.linalg.norm(amps))
+
+
+def _random_unitary(k: int, seed: int) -> np.ndarray:
+    """Q of the QR decomposition of a seeded complex Gaussian 2^k x 2^k matrix."""
+    gen = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(gen.normal(size=(2**k, 2**k)) + 1j * gen.normal(size=(2**k, 2**k)))
+    return q
+
+
+def _random_monomial(k: int, seed: int) -> np.ndarray:
+    """A seeded permutation matrix times random phases: one nonzero entry per row."""
+    gen = np.random.default_rng(seed)
+    return np.eye(2**k)[gen.permutation(2**k)] * np.exp(2j * np.pi * gen.random(2**k))
+
+
+def _kron_operator(n: int, u: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """The full 2^n x 2^n operator of u on the listed qubits, built with np.kron:
+    the sum over gate entries u[i, j] of |i><j| on those qubits and the
+    identity elsewhere (qubit n-1 is the leftmost factor)."""
+    k = len(qubits)
+    full = np.zeros((2**n, 2**n), dtype=complex)
+    for i in range(2**k):
+        for j in range(2**k):
+            factor = np.eye(1)
+            for q in reversed(range(n)):
+                if q in qubits:
+                    bit = k - 1 - qubits.index(q)  # the first listed qubit is the gate's high bit
+                    piece = np.zeros((2, 2))
+                    piece[(i >> bit) & 1, (j >> bit) & 1] = 1
+                else:
+                    piece = np.eye(2)
+                factor = np.kron(factor, piece)
+            full += u[i, j] * factor
+    return full
+
+
+def test_apply_unitary_matches_the_kronecker_operator():
+    for n in range(1, 7):
+        v = _random_state(n, 40 + n)
+        targets = [(q,) for q in range(n)]
+        targets += [(a, b) for a in range(n) for b in range(n) if a != b]
+        for case, qubits in enumerate(targets):
+            # a dense gate and a gate with one nonzero entry per row
+            for u in (_random_unitary(len(qubits), 1000 * n + case),
+                      _random_monomial(len(qubits), 1000 * n + case)):
+                want = _kron_operator(n, u, qubits) @ v.amplitudes
+                got = apply_unitary(v, u, qubits).amplitudes
+                assert np.max(np.abs(got - want)) < 1e-12, (n, qubits, u)
 
 
 def test_graph_state_vector_is_exactly_the_cz_circuit():

@@ -440,13 +440,12 @@ def test_salvage_failure_frozen():
     assert res.annotations == {"salvage_outcome": "F"}
 
 
-def test_salvage_accepts_separate_remnants():
-    # the same rescue works when the two halves arrive as two results
-    failed = join_double_boxes(*double_boxes(), forced="F")
-    comps = failed.graph.connected_components()
-    assert len(comps) == 2
-    one = salvage_failed_join(failed, forced="S")
-    assert one.annotations["salvage_outcome"] == "S"
+def test_salvage_refuses_a_remnant_without_two_components():
+    # a join that succeeded leaves one component: there is nothing to salvage
+    joined = join_double_boxes(*double_boxes(), forced="S,S")
+    assert len(joined.graph.connected_components()) == 1
+    with pytest.raises(ValueError, match="expected exactly two remnant components"):
+        salvage_failed_join(joined, forced="S")
 
 
 # -- ring and rung cleanups -------------------------------------------------------
