@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tableau as tb
-from .cliffords import matrix
+from .cliffords import BY_LABEL, inverse, matrix
 from .fusion import RngStream, type1_fuse, merge_disjoint
 from .graphstate import (
     GraphState,
@@ -166,7 +166,7 @@ class _Oracle:
     def compare(self, g: GraphState, frame: dict[int, str]) -> float:
         """|<frame-corrected graph state of g | state>|, with the frame undone on the state."""
         for q, label in frame.items():
-            _apply_in_place(self.amps, matrix(label).conj().T, (q,))
+            _apply_in_place(self.amps, matrix(inverse(BY_LABEL[label])), (q,))
         return float(abs(np.vdot(graph_state_vector(g).amplitudes, self.amps)))
 
 
