@@ -24,23 +24,15 @@ import os
 import sys
 from typing import Sequence
 
-from . import checks, montecarlo
+from . import checks, montecarlo, recipes
 from .fusion import RngStream
 from .graphstate import chain, to_dot, to_json_doc
 from .recipes import (
     RecipeResult,
     ResourcesExhaustedError,
-    build_cross,
-    build_double_box,
-    build_h_shape,
-    build_l_shape,
-    build_ring8,
-    build_triple_box,
-    grow_depth,
-    grow_ladder,
-    join_double_boxes,
     parse_schedule,
     replay,
+    result_from_checked_doc,
     result_from_doc,
     result_to_json,
 )
@@ -101,62 +93,51 @@ def _chains_arg(args, expected: int) -> list[int]:
     return _parse_lengths(args.chains, expected, "--chains")
 
 
-def _build_recipe(args) -> RecipeResult:
-    """Dispatch one build invocation to the recipe layer.
+def _build_l(args, **kw) -> RecipeResult:
+    segment = tuple(_parse_lengths(args.segment, 4, "--segment")) if args.segment else None
+    return recipes.build_l_shape(chain(_chain_arg(args)), segment)
 
-    One forced schedule spans a whole pipeline: later stages get the
-    tokens earlier stages did not consume.  Recipes that merge extra
-    material mid-run (ladder spares, depth chains) get those chains at
-    the lowest labels and the two primary chains at the highest,
-    because fusion always names a merged vertex max+1 and must never
-    collide with material still waiting to merge.
-    """
-    name = args.recipe
-    rng = RngStream(args.seed)
-    tokens = parse_schedule(args.force)
 
-    def rest(after: RecipeResult) -> list[str]:
-        return tokens[min(len(tokens), after.ledger.fusion_attempts) :]
+def _build_ladder(args, rng, forced) -> RecipeResult:
+    lengths = _chains_arg(args, 2)
+    spares = _parse_lengths(args.spares, None, "--spares") if args.spares else []
+    allocated = _allocate_chains(list(spares) + lengths)
+    pool, (a, b) = allocated[: len(spares)], allocated[len(spares) :]
+    h = recipes.build_h_shape(a, b, rng=rng, forced=forced)
+    rest = forced[h.ledger.fusion_attempts :]
+    return recipes.grow_ladder(h, pool, args.rungs, rng=rng, forced=rest)
 
-    if name == "L":
-        segment = None
-        if args.segment:
-            segment = tuple(_parse_lengths(args.segment, 4, "--segment"))
-        return build_l_shape(chain(_chain_arg(args)), segment)
-    if name == "cross":
-        return build_cross(chain(_chain_arg(args)))
-    if name == "double-box":
-        return build_double_box(chain(_chain_arg(args)))
-    if name == "triple-box":
-        return build_triple_box(chain(_chain_arg(args)))
-    if name == "ring8":
-        return build_ring8(chain(_chain_arg(args)), rng=rng, forced=tokens)
-    if name == "H":
-        a, b = _allocate_chains(_chains_arg(args, 2))
-        return build_h_shape(a, b, rng=rng, forced=tokens)
-    if name == "ladder":
-        lengths = _chains_arg(args, 2)
-        spares = _parse_lengths(args.spares, None, "--spares") if args.spares else []
-        allocated = _allocate_chains(list(spares) + lengths)
-        pool, (a, b) = allocated[: len(spares)], allocated[len(spares) :]
-        h = build_h_shape(a, b, rng=rng, forced=tokens)
-        return grow_ladder(h, pool, args.rungs, rng=rng, forced=rest(h))
-    if name == "depth":
-        lengths = _chains_arg(args, 3)
-        extra, a, b = _allocate_chains([lengths[2], lengths[0], lengths[1]])
-        h = build_h_shape(a, b, rng=rng, forced=tokens)
-        return grow_depth(h, extra, rng=rng, forced=rest(h))
-    if name == "join":
-        a, b = _allocate_chains(_chains_arg(args, 2))
-        return join_double_boxes(
-            build_double_box(a), build_double_box(b), rng=rng, forced=tokens
-        )
-    raise ValueError(f"unknown recipe: {name}")
+
+def _build_depth(args, rng, forced) -> RecipeResult:
+    lengths = _chains_arg(args, 3)
+    extra, a, b = _allocate_chains([lengths[2], lengths[0], lengths[1]])
+    h = recipes.build_h_shape(a, b, rng=rng, forced=forced)
+    return recipes.grow_depth(h, extra, rng=rng, forced=forced[h.ledger.fusion_attempts :])
+
+
+# Recipe name -> builder(args, rng=, forced=), in the order `build` lists them.
+# One forced schedule spans a whole pipeline: later stages get the tokens that
+# earlier stages did not consume.  Material merged mid-run (ladder spares, depth
+# chains) gets the lowest labels, because a fusion names its merged vertex
+# max+1, which must not collide with material still waiting to merge.
+_RECIPES = {
+    "L": _build_l,
+    "cross": lambda args, **kw: recipes.build_cross(chain(_chain_arg(args))),
+    "H": lambda args, **kw: recipes.build_h_shape(*_allocate_chains(_chains_arg(args, 2)), **kw),
+    "ladder": _build_ladder,
+    "depth": _build_depth,
+    "double-box": lambda args, **kw: recipes.build_double_box(chain(_chain_arg(args))),
+    "triple-box": lambda args, **kw: recipes.build_triple_box(chain(_chain_arg(args))),
+    "join": lambda args, **kw: recipes.join_double_boxes(
+        *map(recipes.build_double_box, _allocate_chains(_chains_arg(args, 2))), **kw),
+    "ring8": lambda args, **kw: recipes.build_ring8(chain(_chain_arg(args)), **kw),
+}
 
 
 def cmd_build(args) -> int:
+    kw = dict(rng=RngStream(args.seed), forced=parse_schedule(args.force))
     try:
-        result = _build_recipe(args)
+        result = _RECIPES[args.recipe](args, **kw)
     except ResourcesExhaustedError as exc:
         print(result_to_json(exc.partial))
         print(f"build {args.recipe}: {exc}", file=sys.stderr)
@@ -278,7 +259,7 @@ def cmd_replay(args) -> int:
     # replaying, not that the stored ledger no longer matches it.
     doc = _load_doc(args.input)
     replayed = result_to_json(replay(doc))
-    recorded = result_to_json(result_from_doc(doc))
+    recorded = result_to_json(result_from_checked_doc(doc))
     print(replayed)
     if replayed != recorded:
         print("replay: reconstruction differs from the recorded result", file=sys.stderr)
@@ -294,10 +275,7 @@ def _make_parser() -> _Parser:
     seed_kw = dict(type=int, help="rng seed (default: $CLUSTERFORGE_SEED or 0)")
 
     b = sub.add_parser("build", help="run a construction recipe, print RecipeResult JSON")
-    b.add_argument(
-        "recipe",
-        choices=["L", "cross", "H", "ladder", "depth", "double-box", "triple-box", "join", "ring8"],
-    )
+    b.add_argument("recipe", choices=list(_RECIPES))
     b.add_argument("--chain", help="length of the single input chain")
     b.add_argument("--chains", help="comma-separated input chain lengths")
     b.add_argument("--segment", help="explicit 4-vertex box segment for L")

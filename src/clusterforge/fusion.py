@@ -71,6 +71,20 @@ class RngStream:
         return RngStream(child)
 
 
+def _draw_counts(seed: int, n: int, p: float) -> list[int]:
+    """Draws each substream 0..n-1 of ``RngStream(seed)`` takes up to its first
+    ``next_bool(p)`` success, p > 0: their arithmetic, without their calls."""
+    seed &= _MASK64
+    counts = []
+    for i in range(1, n + 1):
+        child = _mix64(seed ^ _mix64(i * _GAMMA & _MASK64))
+        draws = 1
+        while not (_mix64(child + draws * _GAMMA & _MASK64) >> 11) * 2.0**-53 < p:
+            draws += 1
+        counts.append(draws)
+    return counts
+
+
 class CostLedger(NamedTuple):
     """Additive resource counters for a build sequence."""
 

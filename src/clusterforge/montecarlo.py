@@ -7,10 +7,10 @@ round repeats.  After k rounds the total cost is
 ``2*l*k + f*(k-1)``, with k geometrically distributed.
 
 The module gives the closed-form expectation alongside two Monte Carlo
-estimators: :func:`run_trials` samples the abstract arithmetic, while
+estimators on the same draws: :func:`run_trials` counts each trial's
+draws to its first success in one loop and prices the counts, while
 :func:`run_recipe_trials` drives the full graph-level recipe and reads
-costs off its ledger, so agreement between the two pins the graph
-machinery to the arithmetic.
+costs off its ledger, so agreement pins the graph machinery to the arithmetic.
 """
 
 from __future__ import annotations
@@ -18,10 +18,13 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable, Mapping
 
-from .fusion import RngStream
+from .fusion import RngStream, _draw_counts
 from .graphstate import chain
 from .recipes import ResourcesExhaustedError, build_h_shape
 
@@ -233,22 +236,21 @@ def _check_draws(n_trials: int, p: float) -> None:
 def run_trials(model: CostModel, n_trials: int, seed: int) -> TrialStats:
     """Sample the abstract retry process; deterministic per seed.
 
-    Each trial draws from its own substream, so the result does not
-    depend on execution order and batches over disjoint index ranges
-    merge to the same stats.  Inputs expecting more than
-    ``MAX_EXPECTED_DRAWS`` draws are rejected.
+    Trial i draws from substream i of ``RngStream(seed)`` up to its first
+    success, so the result does not depend on execution order and batches
+    over disjoint index ranges merge to the same stats.  Inputs expecting
+    more than ``MAX_EXPECTED_DRAWS`` draws are rejected.
     """
     p = model.success_probability
     _check_draws(n_trials, p)
-    root = RngStream(seed)
-    acc = _Accumulator()
-    for i in range(n_trials):
-        rng = root.substream(i)
-        attempts = 1
-        while not rng.next_bool(p):
-            attempts += 1
-        acc.add(attempts, model.attempt_cost(attempts))
-    return acc.stats()
+    counts = _draw_counts(seed, n_trials, p)
+    histogram = Counter(counts)
+    costs = {k: model.attempt_cost(k) for k in histogram}
+    squares = {k: cost * cost for k, cost in costs.items()}
+    # Summed in trial order: float sums keep every bit of a per-trial loop.
+    cost_sum = reduce(add, map(costs.__getitem__, counts), 0)
+    cost_sq_sum = reduce(add, map(squares.__getitem__, counts), 0)
+    return TrialStats.from_sums(n_trials, cost_sum, cost_sq_sum, sum(counts), histogram)
 
 
 def run_recipe_trials(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterforge.fusion import RngStream
 from clusterforge.montecarlo import (
     MAX_EXPECTED_DRAWS,
     PRESETS,
@@ -219,6 +221,51 @@ def test_run_trials_tracks_closed_form():
     assert abs(t.mean_cost - 34.0) < 4 * t.standard_error()
 
 
+def reference_trials(model: CostModel, n_trials: int, seed: int) -> TrialStats:
+    """run_trials written out through the stream's own methods, one call per draw."""
+    p = model.success_probability
+    root = RngStream(seed)
+    cost_sum = cost_sq_sum = attempt_sum = 0
+    histogram = {}
+    for i in range(n_trials):
+        rng = root.substream(i)
+        attempts = 1
+        while not rng.next_bool(p):
+            attempts += 1
+        cost = model.attempt_cost(attempts)
+        cost_sum += cost
+        cost_sq_sum += cost * cost
+        attempt_sum += attempts
+        histogram[attempts] = histogram.get(attempts, 0) + 1
+    return TrialStats.from_sums(n_trials, cost_sum, cost_sq_sum, attempt_sum, histogram)
+
+
+# Trial 0's first draw under seed 7: as p, that draw fails under `<` but passes under `<=`.
+DRAWN_P = RngStream(7).substream(0).next_float()
+
+
+@pytest.mark.parametrize("n_trials", [1, 2000])
+@pytest.mark.parametrize(
+    "model, seed",
+    [
+        (OURS, 0),
+        (TYPE2, -5),
+        (CostModel(2.5, 1.1, 0.3), 2**64 + 3),
+        (CostModel(10**30, 3, 0.5), 12),
+        (CostModel(success_probability=1.0), 4),
+        (CostModel(success_probability=0.01), 9),
+        (CostModel(3, 1, DRAWN_P), 7),
+    ],
+    ids=["ours", "type2", "float-costs", "huge-int-costs", "p=1", "p=0.01", "p=a-draw"],
+)
+def test_run_trials_matches_the_stream_definition(model, seed, n_trials):
+    got, want = run_trials(model, n_trials, seed), reference_trials(model, n_trials, seed)
+    assert got.to_json() == want.to_json()
+    for field in ("cost_sum", "cost_sq_sum", "attempt_sum"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (type(a), a) == (type(b), b), field
+
+
 def test_run_trials_certain_success():
     s = run_trials(CostModel(success_probability=1.0), 1000, 5)
     assert s.attempt_histogram == {1: 1000}
@@ -335,6 +382,72 @@ sys.stdout.write(recipes.result_to_json(result) + "\\n")
     flags, replayed = fresh_interpreter(code).split("\n", 1)
     assert flags == "False True"
     assert replayed == stored
+
+
+# Run here and under every other interpreter; each must end with the same `result`.
+SAMPLER_RUNS = """
+import json, sys
+from clusterforge.montecarlo import PRESETS, CostModel, run_trials
+models = (PRESETS["ours"], PRESETS["type2"], CostModel(2.5, 1.1, 0.3))
+result = [[s.to_json(), repr(s.cost_sum), repr(s.cost_sq_sum), repr(s.attempt_sum)]
+          for s in (run_trials(model, 3000, 21) for model in models)]
+"""
+
+
+def other_interpreters() -> list[str]:
+    """Each Python on this host but the running one that meets requires-python.
+
+    Candidates are the python3.N executables on PATH and in pyenv's
+    versions.  Wrapper scripts, such as pyenv's shims, are skipped: they
+    pick their interpreter at run time.
+    """
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    floor = int(re.search(r'requires-python = ">=3\.(\d+)"', pyproject).group(1))
+    candidates = [path for d in os.environ.get("PATH", "").split(os.pathsep) if d
+                  for path in Path(d).glob("python3.*")]
+    pyenv = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+    candidates += pyenv.glob("versions/*/bin/python3.*")
+    own = Path(sys.executable).resolve()
+    found = {}
+    for path in candidates:
+        minor = re.fullmatch(r"python3\.(\d+)", path.name)
+        real = path.resolve()
+        if not minor or int(minor.group(1)) < floor or real in (own, *found):
+            continue
+        if not os.access(real, os.X_OK):
+            continue
+        with open(real, "rb") as fh:
+            if fh.read(2) == b"#!":
+                continue
+        found[real] = str(path)
+    return sorted(found.values())
+
+
+def test_sampler_output_is_the_same_on_every_claimed_python():
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other interpreter that meets requires-python on this host")
+    here = {}
+    exec(SAMPLER_RUNS, here)
+    code = SAMPLER_RUNS + "print(json.dumps([sys.version, 'numpy' in sys.modules, result]))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    children = [
+        subprocess.Popen([exe, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         text=True, env=env)
+        for exe in interpreters
+    ]
+    try:
+        for exe, child in zip(interpreters, children):
+            out, err = child.communicate(timeout=60)
+            assert child.returncode == 0, f"{exe}: {err}"
+            version, numpy_loaded, result = json.loads(out)
+            assert not numpy_loaded, f"{exe} ({version}) loaded numpy"
+            assert result == here["result"], f"{exe} ({version}) sampled different bytes"
+    finally:
+        for child in children:
+            child.kill()
+            child.wait()
+    print(f"run_trials matched under {len(interpreters)} other interpreters: {interpreters}")
 
 
 def test_pvalue_over_probability_grid():
