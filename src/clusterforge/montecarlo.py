@@ -195,29 +195,6 @@ class TrialStats:
         return "\n".join(lines) + "\n"
 
 
-class _Accumulator:
-    __slots__ = ("trials", "cost_sum", "cost_sq_sum", "attempt_sum", "histogram")
-
-    def __init__(self):
-        self.trials = 0
-        self.cost_sum = 0
-        self.cost_sq_sum = 0
-        self.attempt_sum = 0
-        self.histogram: dict[int, int] = {}
-
-    def add(self, attempts: int, cost) -> None:
-        self.trials += 1
-        self.cost_sum += cost
-        self.cost_sq_sum += cost * cost
-        self.attempt_sum += attempts
-        self.histogram[attempts] = self.histogram.get(attempts, 0) + 1
-
-    def stats(self) -> TrialStats:
-        return TrialStats.from_sums(
-            self.trials, self.cost_sum, self.cost_sq_sum, self.attempt_sum, self.histogram
-        )
-
-
 # Runs expecting more draws are refused: a tiny p or a huge trial count
 # would otherwise keep a run drawing without visible end.
 MAX_EXPECTED_DRAWS = 10**7
@@ -276,7 +253,7 @@ def run_recipe_trials(
     chain_a = chain(chain_length)
     chain_b = chain(chain_length, start=chain_length + 1)
     root = RngStream(seed)
-    acc = _Accumulator()
+    counts, costs = [], []
     for i in range(n_trials):
         rng = root.substream(i)
         attempts = 0
@@ -291,8 +268,11 @@ def run_recipe_trials(
             attempts += result.ledger.fusion_attempts
             bonds += result.ledger.bonds_consumed
             break
-        acc.add(attempts, bonds)
-    return acc.stats()
+        counts.append(attempts)
+        costs.append(bonds)
+    return TrialStats.from_sums(
+        n_trials, sum(costs), sum(c * c for c in costs), sum(counts), Counter(counts)
+    )
 
 
 def chi2_sf(x: float, dof: int) -> float:

@@ -146,38 +146,29 @@ def parse_schedule(forced) -> list[str]:
 
 class _Builder:
     """Mutable recipe executor: edits a working graph in place and
-    accumulates frame and trace; ``graph`` freezes it, cached until an edit."""
+    accumulates frame and trace; ``graph`` freezes the working graph on each read."""
 
-    def __init__(self, graph: GraphState, rng: RngStream | None = None, forced=None, *,
-                 initial: GraphState | None = None, frame: Mapping[int, str] | None = None,
-                 trace: Sequence[dict] = ()):
-        self._thaw(graph)
-        self.initial = graph if initial is None else initial
+    def __init__(self, graph: GraphState, rng: RngStream | None = None, forced=None):
+        self.work = _WorkingGraph(graph)
+        self.initial = graph
         self.rng = rng
         self._forced = iter(parse_schedule(forced))
-        self.frame: dict[int, str] = dict(frame or {})
-        self.trace: list[dict] = [dict(step) for step in trace]
+        self.frame: dict[int, str] = {}
+        self.trace: list[dict] = []
 
     @classmethod
     def resume(cls, result: RecipeResult, rng=None, forced=None) -> "_Builder":
-        """A builder that goes on from a result; it edits a copy of the result's graph."""
-        return cls(result.graph, rng, forced, initial=result.initial, frame=result.frame,
-                   trace=result.trace)
-
-    def _thaw(self, graph: GraphState) -> None:
-        self.work = _WorkingGraph(graph)
-        self._frozen: GraphState | None = graph
+        """A builder that goes on from a result: it edits a copy of the
+        result's graph and extends copies of its frame and steps."""
+        b = cls(result.graph, rng, forced)
+        b.initial = result.initial
+        b.frame = dict(result.frame)
+        b.trace = [dict(step) for step in result.trace]
+        return b
 
     @property
     def graph(self) -> GraphState:
-        if self._frozen is None:
-            self._frozen = self.work.freeze()
-        return self._frozen
-
-    def _record(self, step: dict) -> None:
-        """Log an in-place step; the frozen graph is stale from here on."""
-        self._frozen = None
-        self.trace.append(step)
+        return self.work.freeze()
 
     def _push_frame(self, v: int, label: str) -> None:
         # Existing corrections sit outside new ones: the physical state is
@@ -197,13 +188,13 @@ class _Builder:
 
     def box(self, segment: tuple[int, int, int, int]) -> None:
         chain_to_box(self.work, segment)
-        self._record({"op": "box", "segment": list(segment)})
+        self.trace.append({"op": "box", "segment": list(segment)})
 
     def zmeas(self, v: int) -> None:
         self._require_frame_free(v)
         bonds = self.work.degree(v)
         measure_z(self.work, v)
-        self._record({"op": "measure_z", "vertex": v, "bonds": bonds})
+        self.trace.append({"op": "measure_z", "vertex": v, "bonds": bonds})
 
     def ymeas(self, v: int) -> None:
         self._require_frame_free(v)
@@ -212,7 +203,7 @@ class _Builder:
         measure_y(self.work, v)
         for b, label in corrections.items():
             self._push_frame(b, label)
-        self._record({"op": "measure_y", "vertex": v, "bonds": bonds})
+        self.trace.append({"op": "measure_y", "vertex": v, "bonds": bonds})
 
     def fuse(self, a: int, b: int, *, allow_nonleaf: bool = False) -> FusionOutcome:
         self._require_frame_free(a, b)
@@ -221,28 +212,24 @@ class _Builder:
             self.work, a, b, rng=self.rng, forced=forced, allow_nonleaf=allow_nonleaf
         )
         tag = "S" if outcome.success else "F"
-        self._record({"op": "fuse", "a": a, "b": b, "outcome": tag, "merged": outcome.merged,
-                      "bonds": delta.bonds_consumed, "allow_nonleaf": allow_nonleaf})
+        self.trace.append({"op": "fuse", "a": a, "b": b, "outcome": tag, "merged": outcome.merged,
+                           "bonds": delta.bonds_consumed, "allow_nonleaf": allow_nonleaf})
         return outcome
 
     def merge_step(self, extra: GraphState) -> None:
         """Bring fresh disjoint material into the working graph mid-recipe."""
         merge_disjoint(self.work, extra)
-        self._record({"op": "merge", **graph_to_doc(extra)})
+        self.trace.append({"op": "merge", **graph_to_doc(extra)})
 
     def absorb(self, other: RecipeResult) -> None:
         """Adopt a finished disjoint result: graphs, frames and traces join."""
         merge_disjoint(self.work, other.graph)
-        self._frozen = None
         self.initial = merge_disjoint(self.initial, other.initial)
-        overlap = set(self.frame) & set(other.frame)
-        if overlap:
-            raise ValueError(f"frame entries collide on vertices {sorted(overlap)}")
         self.frame.update(other.frame)
         self.trace.extend(dict(step) for step in other.trace)
 
     def relabel(self, mapping: Mapping[int, int]) -> None:
-        self._thaw(self.graph.relabel(mapping))
+        self.work = _WorkingGraph(self.graph.relabel(mapping))
         self.frame = {mapping.get(v, v): lab for v, lab in self.frame.items()}
         self.trace.append(
             {"op": "relabel", "mapping": {str(k): v for k, v in sorted(mapping.items())}}
@@ -252,7 +239,7 @@ class _Builder:
         isolated = sorted(self.graph.isolated_vertices())
         self._require_frame_free(*isolated)
         self.work._rewired((), drop=tuple(isolated))
-        self._record({"op": "drop_isolated", "vertices": isolated})
+        self.trace.append({"op": "drop_isolated", "vertices": isolated})
         return isolated
 
     def tableau_rewrite(self, hadamards: Sequence[int], swaps: Sequence[tuple[int, int]]) -> None:
@@ -275,7 +262,7 @@ class _Builder:
         for a, b in swaps:
             t = t.apply("SWAP", index[a], index[b])
         g_pos, frame_pos = tb.to_graph(t)
-        self._thaw(g_pos.relabel({i: v for i, v in enumerate(order)}))
+        self.work = _WorkingGraph(g_pos.relabel({i: v for i, v in enumerate(order)}))
         self.frame = {order[q]: lab for q, lab in sorted(frame_pos.items())}
         swaps = [list(p) for p in swaps]
         self.trace.append({"op": "tableau_rewrite", "hadamards": list(hadamards), "swaps": swaps})
@@ -673,12 +660,13 @@ def salvage_failed_join(
     Failure costs 4 bonds and leaves the shortened remnants.
     """
     b = _Builder.resume(remnant, rng, forced)
-    comps = b.graph.connected_components()
+    g = b.graph
+    comps = g.connected_components()
     if len(comps) != 2:
         raise ValueError("expected exactly two remnant components")
     comps = sorted(comps, key=min)
-    (corner_a, tail_a) = _salvage_targets(b.graph, comps[0])
-    (corner_b, tail_b) = _salvage_targets(b.graph, comps[1])
+    (corner_a, tail_a) = _salvage_targets(g, comps[0])
+    (corner_b, tail_b) = _salvage_targets(g, comps[1])
     outcome = b.fuse(corner_a, corner_b, allow_nonleaf=True)
     if outcome.success:
         b.zmeas(tail_a)

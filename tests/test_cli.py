@@ -294,6 +294,16 @@ def test_replay_tampered_trace_exits_1(tmp_path):
     assert b"fuse step mismatch" in r.stderr
 
 
+def test_replay_of_an_edited_graph_exits_1_with_the_replayed_result(tmp_path):
+    built = run_cli("build", "H", "--chains", "6,6", "--seed", "3").stdout
+    doc = json.loads(built)
+    doc["graph"]["vertices"].append(99)  # well formed, but not what the trace builds
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("replay", str(path))
+    assert r == (1, built, b"replay: reconstruction differs from the recorded result\n")
+
+
 def test_edited_ledger_exits_1_with_one_line(tmp_path):
     doc = json.loads(run_cli("build", "H", "--chains", "6,6", "--seed", "3").stdout)
     doc["ledger"]["bonds_consumed"] += 1

@@ -384,13 +384,21 @@ sys.stdout.write(recipes.result_to_json(result) + "\\n")
     assert replayed == stored
 
 
-# Run here and under every other interpreter; each must end with the same `result`.
+# Run here and under every other interpreter; each must end with the same
+# `result`: both samplers, and a forced ladder and ring8 through the builder.
 SAMPLER_RUNS = """
 import json, sys
-from clusterforge.montecarlo import PRESETS, CostModel, run_trials
+from clusterforge.graphstate import chain
+from clusterforge.montecarlo import PRESETS, CostModel, run_recipe_trials, run_trials
+from clusterforge.recipes import build_h_shape, build_ring8, grow_ladder, result_to_json
 models = (PRESETS["ours"], PRESETS["type2"], CostModel(2.5, 1.1, 0.3))
+stats = [run_trials(model, 3000, 21) for model in models]
+stats += [run_recipe_trials(150, seed, chain_length=n) for seed in (3, 4) for n in (8, 12)]
 result = [[s.to_json(), repr(s.cost_sum), repr(s.cost_sq_sum), repr(s.attempt_sum)]
-          for s in (run_trials(model, 3000, 21) for model in models)]
+          for s in stats]
+h = build_h_shape(chain(6), chain(8, start=7), forced="S")
+result += [result_to_json(grow_ladder(h, [chain(4, start=30)], 1, forced="S,S")),
+           result_to_json(build_ring8(chain(9), forced="S"))]
 """
 
 
@@ -447,7 +455,7 @@ def test_sampler_output_is_the_same_on_every_claimed_python():
         for child in children:
             child.kill()
             child.wait()
-    print(f"run_trials matched under {len(interpreters)} other interpreters: {interpreters}")
+    print(f"sampler runs matched under {len(interpreters)} other interpreters: {interpreters}")
 
 
 def test_pvalue_over_probability_grid():

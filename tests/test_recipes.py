@@ -22,6 +22,7 @@ from clusterforge.graphstate import (
     chain,
     chain_to_box,
     graph_from_doc,
+    graph_to_doc,
     isomorphic,
     lc_equivalent,
     measure_y,
@@ -707,6 +708,89 @@ def test_replay_rejects_unknown_op():
     doc["trace"].append({"op": "teleport"})
     with pytest.raises(ValueError, match="unknown trace op"):
         replay(doc)
+
+
+def replayed(initial: GraphState, trace: list[dict]) -> RecipeResult:
+    """A hand-made result: ``trace`` replayed from ``initial``.  Replay
+    checks the stored graph, frame and ledger only for their types."""
+    doc = {"name": "hand", "graph": graph_to_doc(initial), "frame": {}, "trace": trace,
+           "ledger": CostLedger(0, 0, 0, 0).to_dict(), "initial": graph_to_doc(initial),
+           "annotations": {}}
+    return replay(doc)
+
+
+def y_leaves(*leaves: int) -> list[dict]:
+    return [{"op": "measure_y", "vertex": v, "bonds": 1} for v in leaves]
+
+
+def test_corrections_that_compose_to_the_identity_leave_no_frame_entry():
+    # each Y-measured leaf of the star leaves S on the centre, and S^4 = I
+    assert replayed(star(5), y_leaves(2, 3)).frame == {1: "SS"}
+    res = replayed(star(5), y_leaves(2, 3, 4, 5))
+    assert res.frame == {}
+    assert res.graph == GraphState([1])
+    assert_replays_exactly(res)
+
+
+@pytest.mark.parametrize("step", [
+    {"op": "measure_z", "vertex": 1, "bonds": 3},
+    {"op": "measure_y", "vertex": 1, "bonds": 3},
+    {"op": "fuse", "a": 1, "b": 4, "outcome": "S", "merged": 6, "bonds": 0, "allow_nonleaf": True},
+], ids=["measure_z", "measure_y", "fuse"])
+def test_steps_refuse_a_vertex_that_carries_a_frame_correction(step):
+    with pytest.raises(ValueError, match="vertex 1 carries a frame correction; absorb it first"):
+        replayed(star(5), [*y_leaves(2), step])
+
+
+def test_tableau_rewrite_refuses_a_frame():
+    step = {"op": "tableau_rewrite", "hadamards": [], "swaps": []}
+    assert replayed(star(5), [step]).graph == star(5)
+    with pytest.raises(ValueError, match="tableau rewrite requires an empty frame"):
+        replayed(star(5), [*y_leaves(2), step])
+
+
+@pytest.mark.parametrize("build", [build_double_box, build_triple_box, build_cross])
+def test_box_runs_check_their_chain_in_place(build):
+    boxes = 3 if build is build_triple_box else 2
+    n = 3 * boxes + 1
+    with pytest.raises(ValueError, match=f"needs vertices 1..{n}"):
+        build(chain(n - 1), start=1)
+    gapped = GraphState(chain(n).vertices, chain(n).edges - {(3, 4)})
+    with pytest.raises(ValueError, match="needs the chain edge 3-4"):
+        build(gapped, start=1)
+
+
+@pytest.mark.parametrize("grow", [
+    lambda r: grow_ladder(r, [], 1, forced="S"),
+    lambda r: grow_depth(r, chain(8, start=20), forced="S"),
+], ids=["ladder", "depth"])
+def test_growth_refuses_a_result_without_rails(grow):
+    with pytest.raises(ValueError, match="does not carry rail annotations; build the H first"):
+        grow(build_l_shape(chain(4)))
+
+
+def test_ladder_drops_a_spare_that_a_failed_fusion_leaves_one_vertex():
+    spares = [chain(2, start=30), chain(8, start=40), chain(8, start=50)]
+    res = grow_ladder(h66(), spares, 1, forced="F,S,S,S")
+    fusions = [(s["a"], s["b"], s["outcome"]) for s in res.trace if s["op"] == "fuse"]
+    # vertex 31, left alone by the failure, is never fused
+    assert fusions == [(4, 10, "S"), (6, 30, "F"), (5, 40, "S"), (12, 50, "S"), (42, 51, "S")]
+    assert res.annotations["rungs"] == [13, 58]
+    assert res.ledger == CostLedger(10, 10, 5, 4)
+
+
+def test_close_second_rung_refuses_a_result_without_two_leaves():
+    with pytest.raises(ValueError, match="does not look like a one-rung join remnant"):
+        close_second_rung(build_double_box(chain(7)), forced="S")
+
+
+@pytest.mark.parametrize("remnant, message", [
+    (merge_disjoint(ring(4), ring(4, start=5)), "lacks a unique degree-3 hub"),
+    (merge_disjoint(star(4), star(4, center=5)), "has no intact box cycle"),
+], ids=["rings", "stars"])
+def test_salvage_refuses_components_that_are_not_broken_boxes(remnant, message):
+    with pytest.raises(ValueError, match=f"remnant component {message}"):
+        salvage_failed_join(replayed(remnant, []), forced="S")
 
 
 def test_result_json_is_canonical():

@@ -70,6 +70,18 @@ def test_from_graph_generators():
     assert [r.text for r in from_graph(star(3)).rows] == ["+XZZ", "+ZXI", "+ZIX"]
 
 
+def test_from_graph_refuses_the_empty_graph():
+    with pytest.raises(ValueError, match="tableau needs at least one qubit"):
+        from_graph(GraphState())
+
+
+def test_a_tableau_equals_only_a_tableau():
+    assert bell_pair() == from_graph(chain(2))
+    assert bell_pair().__eq__(5) is NotImplemented
+    assert (bell_pair() == 5) is False
+    assert bell_pair() != "+XZ"
+
+
 def test_tableau_validation():
     with pytest.raises(ValueError, match="do not commute"):
         StabilizerTableau.from_rows(
